@@ -36,12 +36,23 @@ class AiOp(Enum):
 
     @property
     def message_kind(self) -> MessageKind:
-        if self in (AiOp.READ_DATA, AiOp.FILL_DATA, AiOp.WRITE_DATA,
-                    AiOp.DMA_DATA):
-            return MessageKind.DATA
-        if self in (AiOp.WRITE_ACK, AiOp.DMA_ACK):
-            return MessageKind.RESPONSE
-        return MessageKind.REQUEST
+        return _AI_MESSAGE_KIND[self]
+
+
+#: Transport class of every opcode, looked up on every message built.
+_AI_MESSAGE_KIND = {
+    AiOp.READ_REQ: MessageKind.REQUEST,
+    AiOp.READ_FWD: MessageKind.REQUEST,
+    AiOp.READ_DATA: MessageKind.DATA,
+    AiOp.FILL_REQ: MessageKind.REQUEST,
+    AiOp.FILL_DATA: MessageKind.DATA,
+    AiOp.WRITE_DATA: MessageKind.DATA,
+    AiOp.WRITE_ACK: MessageKind.RESPONSE,
+    AiOp.WRITE_NOTIFY: MessageKind.REQUEST,
+    AiOp.DMA_REQ: MessageKind.REQUEST,
+    AiOp.DMA_DATA: MessageKind.DATA,
+    AiOp.DMA_ACK: MessageKind.RESPONSE,
+}
 
 
 _txn_ids = itertools.count(1)

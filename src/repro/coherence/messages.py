@@ -56,22 +56,29 @@ class ChiOp(Enum):
     @property
     def message_kind(self) -> MessageKind:
         """Transport class: data opcodes ride full-line DATA flits."""
-        if self in (
-            ChiOp.COMP_DATA,
-            ChiOp.SNP_RESP_DATA,
-            ChiOp.WRITEBACK,
-            ChiOp.WRITE_NO_SNP,
-        ):
-            return MessageKind.DATA
-        if self in (ChiOp.SNP_SHARED, ChiOp.SNP_UNIQUE):
-            return MessageKind.SNOOP
-        if self in (ChiOp.COMP, ChiOp.SNP_RESP, ChiOp.COMP_ACK):
-            return MessageKind.RESPONSE
-        return MessageKind.REQUEST
+        return _CHI_MESSAGE_KIND[self]
 
     @property
     def is_request(self) -> bool:
         return self.message_kind is MessageKind.REQUEST
+
+
+#: Transport class of every opcode, looked up on every enqueue.
+_CHI_MESSAGE_KIND = {
+    ChiOp.READ_SHARED: MessageKind.REQUEST,
+    ChiOp.READ_UNIQUE: MessageKind.REQUEST,
+    ChiOp.CLEAN_UNIQUE: MessageKind.REQUEST,
+    ChiOp.WRITEBACK: MessageKind.DATA,
+    ChiOp.READ_NO_SNP: MessageKind.REQUEST,
+    ChiOp.WRITE_NO_SNP: MessageKind.DATA,
+    ChiOp.SNP_SHARED: MessageKind.SNOOP,
+    ChiOp.SNP_UNIQUE: MessageKind.SNOOP,
+    ChiOp.COMP: MessageKind.RESPONSE,
+    ChiOp.SNP_RESP: MessageKind.RESPONSE,
+    ChiOp.COMP_ACK: MessageKind.RESPONSE,
+    ChiOp.COMP_DATA: MessageKind.DATA,
+    ChiOp.SNP_RESP_DATA: MessageKind.DATA,
+}
 
 
 _txn_ids = itertools.count(1)

@@ -8,11 +8,13 @@ Two layers, matching Section 4.1:
   :func:`ring_distance`;
 - *segment routing* across rings — the flit's route is a list of
   :class:`Hop` segments, one per ring traversed, separated by ring
-  bridges.  Routes are computed once per (src, dst) pair by
-  :class:`Router` (Dijkstra over bridge endpoints, weighted by in-ring
-  hop distance plus a per-bridge penalty) and cached.  On the AI
-  processor's grid of rings this reduces to X-Y/Y-X routing with at most
-  one ring change (a property test asserts this).
+  bridges.  :class:`Router` runs one Dijkstra search per source
+  position (over bridge endpoints, weighted by in-ring hop distance
+  plus a per-bridge penalty) and keeps it; each (src, dst) pair then
+  picks its best arrival point on the destination ring from that
+  search and rebuilds its bridge chain, and the route is cached.  On
+  the AI processor's grid of rings this reduces to X-Y/Y-X routing with
+  at most one ring change (a property test asserts this).
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ def ring_direction(nstops: int, src: int, dst: int, bidirectional: bool) -> int:
     return 1 if cw <= ccw else -1
 
 
+#: One source position's search: (cost to each reached position,
+#: post-crossing position -> (pre-crossing position, bridge, side)).
+_Search = Tuple[Dict[Tuple[int, int], int],
+                Dict[Tuple[int, int], Tuple[Tuple[int, int], object, int]]]
+
+
 class Router:
     """Computes and caches multi-ring routes for a topology."""
 
@@ -71,6 +79,8 @@ class Router:
         self._bridges = list(topology.bridges)
         self._bridge_penalty = bridge_penalty
         self._cache: Dict[Tuple[int, int], List[Hop]] = {}
+        # Per source position: that position's Dijkstra (dist, prev).
+        self._searches: Dict[Tuple[int, int], _Search] = {}
         # Adjacency: ring -> list of (bridge, side) endpoints on that ring.
         self._ring_bridges: Dict[int, List[Tuple]] = {r: [] for r in self._rings}
         for b in self._bridges:
@@ -78,10 +88,11 @@ class Router:
             self._ring_bridges[b.ring_b].append((b, 1))
 
     def __deepcopy__(self, memo):
-        # Routes are a pure function of the immutable topology and the
-        # cache is append-only, so fabric clones (repro.verify's model
-        # checker deep-copies whole fabrics per explored transition) can
-        # share one router instead of re-deriving every route.
+        # Routes are a pure function of the immutable topology, and the
+        # route cache and the per-source search memo are append-only, so
+        # fabric clones (repro.verify's model checker deep-copies whole
+        # fabrics per explored transition) can share one router instead
+        # of re-deriving every route.
         memo[id(self)] = self
         return self
 
@@ -103,16 +114,18 @@ class Router:
         self._cache[key] = computed
         return computed
 
-    def _compute(self, src: int, dst: int) -> List[Hop]:
-        src_ring, src_stop = self._placement[src]
-        dst_ring, dst_stop = self._placement[dst]
-        if src_ring == dst_ring:
-            return [Hop(dst_ring, dst_stop, ("node", dst))]
+    def _search(self, start: Tuple[int, int]) -> _Search:
+        """Shortest costs from ``start`` to every position past a bridge.
 
-        # Dijkstra over positions (ring, stop).  Moves: ride the current
-        # ring to any bridge endpoint on it (cost = in-ring distance),
-        # then cross the bridge (cost = penalty + link latency).
-        start = (src_ring, src_stop)
+        Dijkstra over positions (ring, stop).  Moves: ride the current
+        ring to any bridge endpoint on it (cost = in-ring distance),
+        then cross the bridge (cost = penalty + link latency).  The
+        search never looks at a destination, so it is run once per
+        source position and kept.
+        """
+        found = self._searches.get(start)
+        if found is not None:
+            return found
         dist: Dict[Tuple[int, int], int] = {start: 0}
         # prev maps a post-crossing position to (pre-crossing position,
         # bridge, side-we-entered-from) so the hop list can be rebuilt.
@@ -125,13 +138,6 @@ class Router:
                 continue
             visited.add(pos)
             ring, stop = pos
-            if ring == dst_ring:
-                # Riding to the destination stop ends the search for this
-                # entry point; total cost is d + in-ring distance.  We can
-                # finalize greedily because every entry point to dst_ring
-                # is popped in cost order and in-ring cost is added below
-                # when comparing completed candidates.
-                pass
             for bridge, side in self._ring_bridges[ring]:
                 here = (bridge.stop_a, bridge.stop_b)[side]
                 there_ring = (bridge.ring_b, bridge.ring_a)[side]
@@ -147,6 +153,18 @@ class Router:
                     dist[nxt] = cost
                     prev[nxt] = (pos, bridge, side)
                     heapq.heappush(heap, (cost, nxt))
+        found = (dist, prev)
+        self._searches[start] = found
+        return found
+
+    def _compute(self, src: int, dst: int) -> List[Hop]:
+        src_ring, src_stop = self._placement[src]
+        dst_ring, dst_stop = self._placement[dst]
+        if src_ring == dst_ring:
+            return [Hop(dst_ring, dst_stop, ("node", dst))]
+
+        start = (src_ring, src_stop)
+        dist, prev = self._search(start)
 
         # Pick the best arrival position on the destination ring.
         best: Optional[Tuple[int, Tuple[int, int]]] = None

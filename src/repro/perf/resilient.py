@@ -41,8 +41,11 @@ the worker-side trampoline inject failures *before* the real worker
 function runs — ``crash-once`` / ``exit-once`` / ``hang-once`` fail
 each point's first attempt only (tracked via marker files under
 ``REPRO_SWEEP_CHAOS_DIR``), ``crash-always`` fails every attempt.
-Because the injection happens before any simulation work, a retried
-point still produces its exact deterministic result.
+Both variables are read in the parent when the sweep is dispatched and
+travel in each job's payload, so injection works under every
+multiprocessing start method.  Because the injection happens before
+any simulation work, a retried point still produces its exact
+deterministic result.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.perf.outcomes import KIND_POISONED, KIND_TIMEOUT, failure_record
 from repro.sim.rng import make_rng, split_rng
@@ -89,15 +92,14 @@ class ChaosCrash(RuntimeError):
     """Injected worker crash (``REPRO_SWEEP_CHAOS`` modes)."""
 
 
-def _maybe_chaos(index: int) -> None:
-    """Inject a configured failure for this attempt (worker side)."""
-    mode = os.environ.get(CHAOS_ENV, "")
+def _maybe_chaos(index: int, chaos: Tuple[str, Optional[str]]) -> None:
+    """Inject the configured failure for this attempt (worker side)."""
+    mode, marker_dir = chaos
     if not mode:
         return
     if mode == "crash-always":
         raise ChaosCrash(f"chaos crash-always: point index {index}")
     if mode in ("crash-once", "exit-once", "hang-once"):
-        marker_dir = os.environ.get(CHAOS_DIR_ENV)
         if not marker_dir:
             raise RuntimeError(
                 f"{CHAOS_ENV}={mode} requires {CHAOS_DIR_ENV} to point "
@@ -116,8 +118,8 @@ def _maybe_chaos(index: int) -> None:
 
 def invoke_job(payload: Any) -> Any:
     """Picklable worker-side trampoline for one dispatch attempt."""
-    fn, point, seed, index = payload
-    _maybe_chaos(index)
+    fn, point, seed, index, chaos = payload
+    _maybe_chaos(index, chaos)
     return fn(point, seed)
 
 
@@ -322,11 +324,15 @@ def execute_jobs(
     on_failure = on_failure or (lambda index, record: None)
     if not jobs:
         return
+    # Chaos settings travel in the job payload: a forkserver or spawn
+    # worker sees the environment of its server process, not the
+    # parent's environment at dispatch time.
+    chaos = (os.environ.get(CHAOS_ENV, ""), os.environ.get(CHAOS_DIR_ENV))
     if workers is None or workers <= 1:
-        _run_serial(fn, jobs, retry, health, on_ok, on_failure)
+        _run_serial(fn, jobs, retry, health, on_ok, on_failure, chaos)
     else:
         _run_pool(fn, jobs, workers, timeout_s, retry, health,
-                  on_ok, on_failure)
+                  on_ok, on_failure, chaos)
 
 
 def _run_serial(
@@ -336,6 +342,7 @@ def _run_serial(
     health: SweepHealth,
     on_ok: OnResult,
     on_failure: OnResult,
+    chaos: Tuple[str, Optional[str]],
 ) -> None:
     """In-process oracle: same retry policy, no timeout enforcement."""
     for job in jobs:
@@ -343,7 +350,8 @@ def _run_serial(
         while True:
             job.attempts += 1
             try:
-                value = invoke_job((fn, job.point, job.seed, job.index))
+                value = invoke_job(
+                    (fn, job.point, job.seed, job.index, chaos))
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
@@ -372,6 +380,7 @@ def _run_pool(
     health: SweepHealth,
     on_ok: OnResult,
     on_failure: OnResult,
+    chaos: Tuple[str, Optional[str]],
 ) -> None:
     waiting: deque = deque(jobs)
     delayed: List[Any] = []  # heap of (ready_time, seq, job) backoffs
@@ -414,7 +423,7 @@ def _run_pool(
         while True:
             try:
                 future = pool.submit(
-                    invoke_job, (fn, job.point, job.seed, job.index))
+                    invoke_job, (fn, job.point, job.seed, job.index, chaos))
                 break
             except (BrokenExecutor, RuntimeError):
                 # The pool died between completions; recycle and retry

@@ -13,6 +13,8 @@ value.
 """
 
 import json
+import multiprocessing
+import multiprocessing.forkserver
 import os
 import signal
 import subprocess
@@ -115,6 +117,39 @@ def test_crash_once_serial_oracle_matches(monkeypatch, tmp_path):
                         retry=FAST_RETRY, health=health)
     assert results == expected
     assert health.retries == len(POINTS)
+
+
+@pytest.fixture
+def forkserver_start_method():
+    """Run the test's pools under ``forkserver``, then restore the default.
+
+    The fork server is started here, before the test sets any chaos
+    variable, so its workers can only learn about chaos from the job
+    payload, never from an environment inherited at server start.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("forkserver start method unavailable")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    multiprocessing.forkserver.ensure_running()
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+
+
+def test_crash_once_retries_under_forkserver(monkeypatch, tmp_path,
+                                             forkserver_start_method):
+    """Chaos set after the fork server started still reaches the workers."""
+    expected = baseline()
+    chaos(monkeypatch, tmp_path, "crash-once")
+    health = SweepHealth()
+    results = run_sweep(echo_worker, POINTS, base_seed=5, workers=2,
+                        retry=FAST_RETRY, health=health)
+    assert results == expected
+    assert health.retries == len(POINTS)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"chaos-{i}" for i in range(len(POINTS)))
 
 
 def test_crash_always_yields_failure_records(monkeypatch):
