@@ -217,18 +217,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
     from repro.perf import bench
 
     cycles = args.cycles if args.cycles else bench.SMOKE_CYCLES
     report = bench.run_smoke_suite(repeats=args.repeats,
                                    reference=args.reference,
                                    cycles=cycles,
-                                   engine=args.engine,
-                                   journal=args.journal,
-                                   resume=args.resume,
-                                   force_serial=args.no_parallel)
+                                   engine=args.engine)
     print(bench.format_report(report))
     if args.json:
         bench.write_report(report, args.json)
@@ -252,26 +247,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"saturated-case gate skipped: cycles={cycles} below "
                   f"the committed budget ({bench.SMOKE_CYCLES})",
                   file=sys.stderr)
-    if args.require_parallel_speedup:
-        # The parallel floor is meaningless where the stepper cannot
-        # run: single-CPU machines fall back serial by design, and
-        # --no-parallel forces the serial path on purpose.
-        if args.no_parallel:
-            print("parallel-speedup gate skipped: --no-parallel forces "
-                  "the serial path", file=sys.stderr)
-        elif (os.cpu_count() or 1) < 2:
-            print("parallel-speedup gate skipped: single-CPU machine "
-                  "(the parallel stepper falls back serial)",
-                  file=sys.stderr)
-        else:
-            gate_failures = bench.parallel_speedup_failures(
-                report, args.parallel_floor)
-            if gate_failures:
-                for failure in gate_failures:
-                    print(f"PARALLEL GATE: {failure}", file=sys.stderr)
-                return 1
-            print(f"parallel-speedup gate passed (floor "
-                  f"{args.parallel_floor:.2f}x)")
     if args.baseline:
         baseline = bench.load_report(args.baseline)
         failures = bench.compare_to_baseline(report, baseline,
@@ -501,12 +476,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.replay:
         ce = Counterexample.load(args.replay)
         code = 0
-        for fast in (True, False):
-            result = replay_counterexample(ce, fast_path=fast)
+        for engine, mode in (("skip", "fast"), ("ref", "reference")):
+            result = replay_counterexample(ce, engine=engine)
             if args.json:
                 print(_json.dumps(result.to_dict(), indent=2))
             else:
-                mode = "fast" if fast else "reference"
                 verdict = "confirmed" if result.confirmed else "NOT CONFIRMED"
                 print(f"replay[{mode}]: {verdict} "
                       f"({result.observed_rule or 'no violation'}) "
@@ -924,26 +898,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-regression", type=float, default=0.25,
                    help="allowed fractional drop in normalized "
                         "throughput vs the baseline (default 0.25)")
-    p.add_argument("--journal", metavar="FILE",
-                   help="append per-case results to a crash-safe JSONL "
-                        "journal as they complete")
-    p.add_argument("--resume", action="store_true",
-                   help="replay completed cases from --journal instead "
-                        "of re-timing them (failed cases re-run)")
     p.add_argument("--max-failures", type=int, default=0, metavar="N",
                    help=f"exit {EXIT_MAX_FAILURES} when more than N "
                         "cases fail (default 0)")
-    p.add_argument("--no-parallel", action="store_true",
-                   help="force the serial path on cases that request "
-                        "parallel stepping (the forced-serial A/B leg)")
-    p.add_argument("--require-parallel-speedup", action="store_true",
-                   help="fail unless every parallel case ran in "
-                        "parallel and beat its serial A/B leg "
-                        "(skipped on single-CPU machines and with "
-                        "--no-parallel)")
-    p.add_argument("--parallel-floor", type=float, default=1.0,
-                   help="speedup-vs-serial floor for "
-                        "--require-parallel-speedup (default 1.0)")
     p.set_defaults(fn=_cmd_bench)
 
     return parser

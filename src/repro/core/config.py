@@ -157,12 +157,6 @@ class MultiRingConfig:
     #: high-speed wire fabric of Table 4 has x2.5 the bus width of the
     #: dense fabric, which the AI processor exploits as parallel lanes.
     lanes_per_direction: int = 1
-    #: Use the fast ring stepping (skips provably no-op station visits).
-    #: False forces the reference walk — cycle-for-cycle identical, kept
-    #: as the semantic spec for the equivalence tests and for debugging.
-    #: Subsumed by :attr:`engine`; ``fast_path=False`` is kept as a
-    #: back-compatible alias for ``engine="ref"``.
-    fast_path: bool = True
     #: Stepping-engine tier (see docs/PERFORMANCE.md):
     #:
     #: - ``"ref"``   — reference walk, the semantic spec;
@@ -191,26 +185,3 @@ class MultiRingConfig:
     #: None keeps the baseline perfect-pipe link; installing a
     #: :class:`repro.faults.FaultInjector` enables it implicitly.
     reliability: Optional["LinkReliabilityConfig"] = None
-    #: Opt in to the parallel per-ring stepper
-    #: (:mod:`repro.perf.parallel`): rings are partitioned across worker
-    #: processes that advance independently for a lookahead window of
-    #: ``k = min bridge pipeline latency`` cycles, then exchange the
-    #: flits crossing RBRG boundaries at a deterministic barrier.
-    #: Composes with :attr:`engine` — each worker still runs the
-    #: per-ring tier selector on its own rings.  Cycle-identical to the
-    #: serial engines; falls back to serial execution (with a
-    #: ``parallel_ineligible_reason``) when probes, tracers, fault
-    #: injection, or the topology make partitions unsafe.
-    parallel_step: bool = False
-    #: Worker-process count for :attr:`parallel_step`.  0 = one worker
-    #: per ring, capped at ``os.cpu_count()``.  Values above the ring
-    #: count are clamped; an effective count below 2 falls back serial.
-    parallel_workers: int = 0
-    #: Cap on the lookahead window, in cycles.  0 derives the window
-    #: from the cut bridges (``min`` over partition-crossing bridges of
-    #: their pipeline latency, the largest window that stays exact).  A
-    #: smaller window adds barriers but tightens the occupancy bounds,
-    #: reducing speculative-conflict serial restarts on near-saturated
-    #: cross-ring traffic.  Values above the derived window are clamped
-    #: down — a larger window would no longer be cycle-exact.
-    parallel_window: int = 0

@@ -222,15 +222,11 @@ class Ring:
         if mode not in ("auto", "ref", "skip", "dense"):
             raise ValueError(
                 f"unknown engine {mode!r}; pick auto, ref, skip, or dense")
-        if not config.fast_path:
-            # Back-compat: the legacy knob forces the reference walk.
-            mode = "ref"
         #: Stepping tier policy ("auto"|"ref"|"skip"|"dense"); see
         #: ``MultiRingConfig.engine`` and docs/PERFORMANCE.md.
         self.engine_mode = mode
         #: Use a fast step when not running dense (identical semantics,
-        #: skips no-op station visits).  Cleared via
-        #: ``MultiRingConfig(fast_path=False)`` / ``engine="ref"`` so
+        #: skips no-op station visits).  Cleared by ``engine="ref"`` so
         #: equivalence tests can drive the reference step.
         self.fast_path = mode != "ref"
         #: Active :class:`repro.perf.dense.DenseRingEngine`, or None

@@ -5,9 +5,8 @@ JSON cleanly: systems can save a floorplan next to their results, and a
 saved topology plus a saved trace (:mod:`repro.workloads.trace`)
 reproduces an experiment exactly.  :func:`config_to_dict` /
 :func:`config_from_dict` give :class:`MultiRingConfig` the same
-round-trip (tuning knobs, engine tier, parallel stepping knobs), which
-is what lets the parallel stepper's worker processes and saved sweep
-scenarios rebuild byte-identical fabrics from plain JSON.
+round-trip (tuning knobs, engine tier), which is what lets saved
+counterexamples rebuild byte-identical fabrics from plain JSON.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ def config_to_dict(config: MultiRingConfig) -> dict:
 
     ``reliability`` must be None (the reliable-link config holds
     non-declarative state and already has its own campaign plumbing);
-    everything else — queue depths, ablation switches, engine tier,
-    parallel-stepping knobs — round-trips losslessly.
+    everything else — queue depths, ablation switches, engine tier —
+    round-trips losslessly.
     """
     if config.reliability is not None:
         raise ValueError(

@@ -46,9 +46,6 @@ _CONFIG_KEYS = {
     "escape_slot_period",
     "bridge_route_penalty",
     "lanes_per_direction",
-    "parallel_step",
-    "parallel_workers",
-    "parallel_window",
 }
 
 _QUEUE_KEYS = {
@@ -330,31 +327,6 @@ def validate_config(
             f"dense_enter_occupancy ({config.dense_enter_occupancy}) "
             "<= 1; an inverted band makes the auto selector thrash "
             "materialization every check", path))
-    if config.parallel_workers < 0:
-        findings.append(_err(
-            "bad-threshold",
-            f"parallel_workers is {config.parallel_workers}; must be "
-            ">= 0 (0 = one worker per ring, capped at the CPU count)",
-            path))
-    if config.parallel_window < 0:
-        findings.append(_err(
-            "bad-threshold",
-            f"parallel_window is {config.parallel_window}; must be >= 0 "
-            "(0 derives the window from the cut-bridge latencies)", path))
-    if config.parallel_step:
-        if config.reliability is not None:
-            findings.append(_warn(
-                "parallel-serial-fallback",
-                "parallel_step is set but the reliable link layer is "
-                "enabled; the parallel stepper cannot split ack/replay "
-                "link state and will always fall back serial", path))
-        if spec is not None and len(spec.rings) < 2:
-            findings.append(_warn(
-                "parallel-serial-fallback",
-                "parallel_step is set on a single-ring topology; there "
-                "is nothing to partition and the stepper will always "
-                "fall back serial", path))
-
     if has_l2_bridges:
         if config.enable_swap:
             if queues.swap_detect_threshold < 1:

@@ -16,13 +16,14 @@ parallel-seeding rules.
   timeouts, deterministic retry/backoff, ``BrokenProcessPool``
   recovery with poison-point quarantine, sweep health counters.
 - :mod:`repro.perf.journal` — append-only JSONL sweep journal backing
-  ``--resume`` for interrupted campaigns.
+  ``faults --resume`` for interrupted campaigns.
 - :mod:`repro.perf.outcomes` — structured skip/failure records that
   stand in for stats dicts in partial sweep results.
 - :mod:`repro.perf.bench` — the ``repro-noc bench`` smoke suite and the
   ``BENCH_fabric.json`` trajectory format.
-- :mod:`repro.perf.parallel` — parallel per-ring fabric stepping with
-  deterministic bridge-exchange barriers (cycle-identical to serial).
+- :mod:`repro.perf.dense` — struct-of-arrays dense ring-stepping tier
+  and the ``"auto"`` engine selector (cycle-identical to the reference
+  walk).
 """
 
 from repro.perf.cache import MISS, ResultCache

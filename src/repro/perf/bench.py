@@ -45,14 +45,7 @@ headlines, ``ring_uniform_saturated`` / ``ring_half_saturated``, are
 uniform all-to-all oversubscription on 320-stop rings where every
 station has work every cycle — the regime the SoA dense tier
 (:mod:`repro.perf.dense`) is built for, and where exact-skip used to
-*lose* to the reference walk.  The parallel headlines,
-``chain4_parallel`` / ``chain6_parallel``, load every ring of a 4- and
-6-chiplet RBRG-L2 chain with local traffic plus sparse cross-chiplet
-flows — the regime the parallel per-ring stepper
-(:mod:`repro.perf.parallel`) is built for; each records a serial A/B
-leg (same engine, forced serial) whose stats fingerprint must match
-exactly, and :func:`parallel_speedup_failures` gates the speedup on
-multi-core machines.
+*lose* to the reference walk.
 """
 
 from __future__ import annotations
@@ -60,7 +53,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -68,20 +60,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import __version__
 from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
-from repro.core.topology import (
-    chiplet_chain,
-    chiplet_pair,
-    single_ring_topology,
-)
+from repro.core.topology import chiplet_pair, single_ring_topology
 from repro.fabric.message import Message, MessageKind
 from repro.params import QueueParams
-from repro.perf.journal import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    SweepJournal,
-    sweep_fingerprint,
-)
 from repro.perf.outcomes import failure_record, is_failed
 from repro.sim.rng import make_rng
 
@@ -146,33 +127,6 @@ def _uniform_plan(nodes: List[int], cycles: int, per_cycle: int,
             dst = rng.choice(nodes)
             if src != dst:
                 plan.append((cycle, src, dst, MessageKind.REQUEST))
-    return plan
-
-
-def _chain_plan(rings: List[List[int]], cycles: int, per_ring: int,
-                cross_every: int, seed: int) -> List[PlanEntry]:
-    """Heavy ring-local uniform traffic plus sparse cross-chiplet flows.
-
-    The parallel stepper's target regime: every partition has real work
-    every cycle, while the cut bridges carry only one DATA flit per
-    direction every ``cross_every`` cycles — far below the occupancy
-    gates, so the lookahead windows stay conflict-free.
-    """
-    rng = make_rng(seed)
-    plan: List[PlanEntry] = []
-    for cycle in range(cycles):
-        for ring_nodes in rings:
-            for _ in range(per_ring):
-                src = rng.choice(ring_nodes)
-                dst = rng.choice(ring_nodes)
-                if src != dst:
-                    plan.append((cycle, src, dst, MessageKind.REQUEST))
-        if cross_every and cycle % cross_every == 0:
-            for i in range(len(rings) - 1):
-                plan.append((cycle, rng.choice(rings[i]),
-                             rng.choice(rings[i + 1]), MessageKind.DATA))
-                plan.append((cycle, rng.choice(rings[i + 1]),
-                             rng.choice(rings[i]), MessageKind.DATA))
     return plan
 
 
@@ -298,49 +252,6 @@ def smoke_cases(cycles: int = SMOKE_CYCLES) -> List[BenchCase]:
         saturated=False,
     ))
 
-    # Parallel-stepper headlines: multi-chiplet chains where every ring
-    # is busy every cycle and the only coupling is the RBRG-L2 d2d
-    # pipelines.  Gated by parallel_speedup_failures (parallel must
-    # beat the serial A/B leg on multi-core machines), not by the
-    # dense-regime speedup floor — hence saturated=False; on
-    # single-core machines the stepper falls back serial and the
-    # fingerprints stay identical, so the committed trajectory is
-    # machine-independent.
-    def build_chain(n_rings: int, nodes_per_ring: int):
-        def build(engine: str) -> MultiRingFabric:
-            topo, _ = chiplet_chain(n_rings=n_rings,
-                                    nodes_per_ring=nodes_per_ring,
-                                    stop_spacing=2)
-            return MultiRingFabric(topo, MultiRingConfig(
-                engine=engine, parallel_step=True))
-        return build
-
-    _, chain4_rings = chiplet_chain(n_rings=4, nodes_per_ring=16,
-                                    stop_spacing=2)
-    cases.append(BenchCase(
-        name="chain4_parallel",
-        description="4-chiplet RBRG-L2 chain, heavy ring-local traffic "
-                    "plus sparse cross flows (parallel per-ring stepping "
-                    "headline)",
-        cycles=cycles,
-        build=build_chain(4, 16),
-        plan=_chain_plan(chain4_rings, cycles, per_ring=8, cross_every=16,
-                         seed=49),
-        saturated=False,
-    ))
-
-    _, chain6_rings = chiplet_chain(n_rings=6, nodes_per_ring=12,
-                                    stop_spacing=2)
-    cases.append(BenchCase(
-        name="chain6_parallel",
-        description="6-chiplet RBRG-L2 chain, heavy ring-local traffic "
-                    "plus sparse cross flows (parallel scaling point)",
-        cycles=cycles,
-        build=build_chain(6, 12),
-        plan=_chain_plan(chain6_rings, cycles, per_ring=6, cross_every=16,
-                         seed=50),
-        saturated=False,
-    ))
     return cases
 
 
@@ -363,48 +274,8 @@ def _resolved_engine(fabric: MultiRingFabric) -> str:
     return "+".join(tiers) if tiers else "ref"
 
 
-def _run_parallel_case(case: BenchCase, engine: str,
-                       repeats: int) -> Dict[str, Any]:
-    """Best-of-``repeats`` timing through the parallel stepper.
-
-    :func:`repro.perf.parallel.run_parallel_plan` owns the timed
-    region (``meta.elapsed_s`` covers only stepping, matching the
-    serial methodology); fingerprints come from the merged stats, which
-    the stepper guarantees cycle-identical to serial — so the committed
-    trajectory is stable across machines even when a single-core runner
-    falls back serial.
-    """
-    from repro.perf.parallel import run_parallel_plan
-
-    probe = case.build(engine)
-    best: Optional[float] = None
-    stats = meta = None
-    for _ in range(max(repeats, 1)):
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            run_stats, run_meta = run_parallel_plan(
-                probe.topology, probe.config, case.plan, case.cycles)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        if best is None or run_meta.elapsed_s < best:
-            best = run_meta.elapsed_s
-            stats, meta = run_stats, run_meta
-    assert stats is not None and meta is not None and best is not None
-    return {
-        "cycles_per_sec": case.cycles / best if best > 0 else float("inf"),
-        "seconds": best,
-        "engine": (f"parallel[{meta.workers}]" if meta.mode == "parallel"
-                   else "serial-fallback"),
-        "stats": _stats_fingerprint(stats),
-        "parallel": meta.as_dict(),
-    }
-
-
 def run_case(case: BenchCase, engine: str = "auto",
-             repeats: int = 3, force_serial: bool = False) -> Dict[str, Any]:
+             repeats: int = 3) -> Dict[str, Any]:
     """Best-of-``repeats`` timing of one case; returns a result record.
 
     Messages are freshly constructed before each repeat (the fabric
@@ -412,15 +283,8 @@ def run_case(case: BenchCase, engine: str = "auto",
     — and therefore the stats fingerprint — is identical every repeat.
     The route cache is warmed and GC parked per the module methodology;
     both apply identically to every engine tier.
-
-    A case whose config sets ``parallel_step`` routes through the
-    parallel stepper (its result carries a ``"parallel"`` meta dict);
-    ``force_serial=True`` bypasses that for A/B legs — the returned
-    fingerprint must match either way.
     """
     plan = case.plan
-    if not force_serial and case.build(engine).config.parallel_step:
-        return _run_parallel_case(case, engine, repeats)
     best: Optional[float] = None
     fabric: Optional[MultiRingFabric] = None
     n = len(plan)
@@ -504,11 +368,9 @@ def aggregate_normalized(results: List[Dict[str, Any]]) -> Optional[float]:
 
 
 def _run_suite_case(case: BenchCase, engine: str, repeats: int,
-                    reference: bool, score: float,
-                    force_serial: bool = False) -> Dict[str, Any]:
+                    reference: bool, score: float) -> Dict[str, Any]:
     """Time one suite case (plus optional reference A/B) into an entry."""
-    main_run = run_case(case, engine=engine, repeats=repeats,
-                        force_serial=force_serial)
+    main_run = run_case(case, engine=engine, repeats=repeats)
     entry: Dict[str, Any] = {
         "name": case.name,
         "description": case.description,
@@ -521,26 +383,8 @@ def _run_suite_case(case: BenchCase, engine: str, repeats: int,
         "normalized": round(main_run["cycles_per_sec"] / score, 6),
         "stats": main_run["stats"],
     }
-    if "parallel" in main_run:
-        entry["parallel"] = main_run["parallel"]
-        serial_run = run_case(case, engine=engine, repeats=repeats,
-                              force_serial=True)
-        entry["serial_cycles_per_sec"] = round(
-            serial_run["cycles_per_sec"], 1)
-        entry["speedup_vs_serial"] = round(
-            main_run["cycles_per_sec"] / serial_run["cycles_per_sec"], 2)
-        entry["stats_match_serial"] = (
-            serial_run["stats"] == main_run["stats"])
-        if not entry["stats_match_serial"]:
-            raise RuntimeError(
-                f"bench case '{case.name}': parallel stepping stats "
-                f"diverge from the forced-serial run — the "
-                f"cycle-identical contract is broken\n"
-                f"parallel={main_run['stats']}\n"
-                f"serial  ={serial_run['stats']}")
     if reference:
-        ref_run = run_case(case, engine="ref", repeats=repeats,
-                           force_serial=True)
+        ref_run = run_case(case, engine="ref", repeats=repeats)
         entry["reference_cycles_per_sec"] = round(
             ref_run["cycles_per_sec"], 1)
         entry["speedup_vs_reference"] = round(
@@ -558,10 +402,7 @@ def _run_suite_case(case: BenchCase, engine: str, repeats: int,
 
 def run_smoke_suite(repeats: int = 3, reference: bool = False,
                     cycles: int = SMOKE_CYCLES,
-                    engine: str = "auto",
-                    journal: Optional[str] = None,
-                    resume: bool = False,
-                    force_serial: bool = False) -> Dict[str, Any]:
+                    engine: str = "auto") -> Dict[str, Any]:
     """Run the whole suite; returns the ``BENCH_fabric.json`` payload.
 
     ``engine`` selects the stepping-engine mode under test (the
@@ -583,95 +424,41 @@ def run_smoke_suite(repeats: int = 3, reference: bool = False,
     loudly by :func:`format_report`.  The engine-equivalence divergence
     (``reference=True`` with mismatched fingerprints) still raises —
     that is a correctness verdict, not a flaky case.
-
-    ``journal``/``resume`` give the suite campaign-style checkpointing:
-    each case's entry is appended to a crash-safe JSONL journal
-    (:mod:`repro.perf.journal`) as it completes, and ``resume=True``
-    replays completed cases from a matching journal instead of
-    re-timing them (failed cases re-run).  Replayed entries keep their
-    recorded numbers — timings are machine state, not derivable —
-    which is exactly what lets an interrupted overnight bench finish
-    instead of starting over.
-
-    ``force_serial=True`` runs every case — including the ones whose
-    config requests parallel stepping — through the serial path (the
-    CLI's ``--no-parallel`` A/B leg); because the parallel stepper is
-    cycle-identical, the fingerprints must not change.
     """
     from repro.analyze.prefilter import infeasible_reason
 
     cases = smoke_cases(cycles)
-    journal_obj: Optional[SweepJournal] = None
-    replayed: Dict[int, Dict[str, Any]] = {}
-    if journal is not None:
-        fingerprint = sweep_fingerprint(
-            "bench-smoke", 0, [case.name for case in cases],
-            context={"suite": "smoke", "cycles": cycles, "engine": engine,
-                     "repeats": repeats, "reference": reference,
-                     "force_serial": force_serial})
-        if resume and os.path.exists(journal):
-            journal_obj, replayed = SweepJournal.resume(journal, fingerprint)
-        else:
-            journal_obj = SweepJournal(journal)
-            journal_obj.start("bench-smoke", 0, len(cases), fingerprint)
-
     score = calibration_score(repeats)
     results: List[Dict[str, Any]] = []
     prefilter: Dict[str, Any] = {"evaluated": 0, "skipped": 0,
                                  "skipped_cases": []}
-    try:
-        for index, case in enumerate(cases):
-            if index in replayed:
-                entry = replayed[index]["value"]
-                if entry.get("skipped"):
-                    prefilter["evaluated"] += 1
-                    prefilter["skipped"] += 1
-                    prefilter["skipped_cases"].append(
-                        {"name": case.name,
-                         "reason": entry.get("skip_reason")})
-                else:
-                    prefilter["evaluated"] += 1
-                results.append(entry)
-                continue
-            probe = case.build(engine)
-            reason = infeasible_reason(probe.topology, probe.config)
-            prefilter["evaluated"] += 1
-            if reason is not None:
-                prefilter["skipped"] += 1
-                prefilter["skipped_cases"].append(
-                    {"name": case.name, "reason": reason})
-                entry = {"name": case.name, "skipped": True,
-                         "skip_reason": reason}
-                results.append(entry)
-                if journal_obj is not None:
-                    journal_obj.append(index, case.name, STATUS_SKIPPED,
-                                       entry)
-                continue
-            start = time.perf_counter()
-            try:
-                entry = _run_suite_case(case, engine, repeats, reference,
-                                        score, force_serial=force_serial)
-            except KeyboardInterrupt:
-                raise
-            except RuntimeError:
-                raise  # engine divergence / tracing misuse: correctness
-            except Exception as exc:
-                record = failure_record(
-                    case.name, type(exc).__name__, attempts=1,
-                    elapsed_s=time.perf_counter() - start,
-                    message=str(exc))
-                record["name"] = case.name
-                results.append(record)
-                if journal_obj is not None:
-                    journal_obj.append(index, case.name, STATUS_FAILED,
-                                       record)
-                continue
-            results.append(entry)
-            if journal_obj is not None:
-                journal_obj.append(index, case.name, STATUS_OK, entry)
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
+    for case in cases:
+        probe = case.build(engine)
+        reason = infeasible_reason(probe.topology, probe.config)
+        prefilter["evaluated"] += 1
+        if reason is not None:
+            prefilter["skipped"] += 1
+            prefilter["skipped_cases"].append(
+                {"name": case.name, "reason": reason})
+            results.append({"name": case.name, "skipped": True,
+                            "skip_reason": reason})
+            continue
+        start = time.perf_counter()
+        try:
+            entry = _run_suite_case(case, engine, repeats, reference, score)
+        except KeyboardInterrupt:
+            raise
+        except RuntimeError:
+            raise  # engine divergence / tracing misuse: correctness
+        except Exception as exc:
+            record = failure_record(
+                case.name, type(exc).__name__, attempts=1,
+                elapsed_s=time.perf_counter() - start,
+                message=str(exc))
+            record["name"] = case.name
+            results.append(record)
+            continue
+        results.append(entry)
     aggregate = aggregate_normalized(results)
     failed = sum(1 for r in results if is_failed(r))
     return {
@@ -686,7 +473,6 @@ def run_smoke_suite(repeats: int = 3, reference: bool = False,
                                  if aggregate is not None else None),
         "prefilter": prefilter,
         "failed_cases": failed,
-        "resumed_cases": len(replayed),
         "results": results,
     }
 
@@ -719,41 +505,6 @@ def saturated_speedup_failures(report: Dict[str, Any],
                 f"(engine={entry.get('engine', '?')}, floor "
                 f"{floor:.2f}x) — the fast path is losing on the dense "
                 "regime")
-    return failures
-
-
-def parallel_speedup_failures(report: Dict[str, Any],
-                              floor: float = 1.0) -> List[str]:
-    """The parallel bench gate: parallel cases must beat serial.
-
-    Returns a failure string for every case that requested parallel
-    stepping (its entry carries a ``"parallel"`` meta dict) and either
-    fell back serial or ran below ``floor`` × its forced-serial A/B
-    leg.  Only meaningful on multi-core machines — a single-core runner
-    legitimately falls back serial ("fewer than two effective
-    workers"), so the CLI skips this gate when ``os.cpu_count() < 2``
-    instead of calling it.
-    """
-    failures: List[str] = []
-    for entry in report.get("results", []):
-        if entry.get("skipped") or entry.get("failed"):
-            continue
-        par = entry.get("parallel")
-        if par is None:
-            continue
-        if par.get("mode") != "parallel":
-            failures.append(
-                f"{entry['name']}: parallel stepping fell back serial "
-                f"({par.get('reason', 'unknown reason')})")
-            continue
-        speedup = entry.get("speedup_vs_serial")
-        if speedup is not None and speedup < floor:
-            failures.append(
-                f"{entry['name']}: parallel ran at {speedup:.2f}x the "
-                f"best serial engine (workers={par.get('workers')}, "
-                f"window={par.get('window')}, barriers="
-                f"{par.get('barriers')}, floor {floor:.2f}x) — the "
-                "barrier overhead is eating the partitioning win")
     return failures
 
 
@@ -828,9 +579,6 @@ def format_report(report: Dict[str, Any]) -> str:
             f"{prefilter['evaluated']} case(s) statically skipped")
     if report.get("failed_cases"):
         lines.append(f"  FAILED cases: {report['failed_cases']}")
-    if report.get("resumed_cases"):
-        lines.append(f"  resumed from journal: {report['resumed_cases']} "
-                     "case(s)")
     width = max(len(r["name"]) for r in report["results"])
     for r in report["results"]:
         if r.get("skipped"):
@@ -843,9 +591,6 @@ def format_report(report: Dict[str, Any]) -> str:
                 f"{r['error_message']}")
             continue
         extra = ""
-        if "speedup_vs_serial" in r:
-            extra += (f"  ({r['speedup_vs_serial']:.2f}x vs serial "
-                      f"{r['serial_cycles_per_sec']:,.0f})")
         if "speedup_vs_reference" in r:
             extra += (f"  ({r['speedup_vs_reference']:.2f}x vs reference "
                       f"{r['reference_cycles_per_sec']:,.0f})")

@@ -22,55 +22,6 @@ from typing import Any, Dict
 from repro.perf.sweep import SweepPoint
 
 
-def chain_parallel_point(point: SweepPoint, seed: int) -> Dict[str, Any]:
-    """One chiplet-chain point stepped via the parallel stepper.
-
-    Parameters: ``n_rings``, ``nodes_per_ring``, ``cycles``, ``per_ring``
-    (local injections per ring per cycle), and optional ``workers``
-    (0 = auto).  Returns delivery counters plus the stepper's execution
-    meta — on single-core machines the run transparently falls back
-    serial with the identical counters, so sweep results cached on one
-    machine stay valid on another.
-    """
-    from repro.core.config import MultiRingConfig
-    from repro.core.topology import chiplet_chain
-    from repro.perf.parallel import run_parallel_plan
-    from repro.sim.rng import make_rng
-
-    params = point.as_dict()
-    cycles = int(params["cycles"])
-    topo, rings = chiplet_chain(n_rings=int(params["n_rings"]),
-                                nodes_per_ring=int(params["nodes_per_ring"]))
-    config = MultiRingConfig(parallel_step=True)
-    rng = make_rng(seed % (2 ** 31))
-    per_ring = int(params.get("per_ring", 4))
-    plan = []
-    for cycle in range(cycles):
-        for ring_nodes in rings:
-            for _ in range(per_ring):
-                src = rng.choice(ring_nodes)
-                dst = rng.choice(ring_nodes)
-                if src != dst:
-                    plan.append((cycle, src, dst))
-        if cycle % 16 == 0:
-            for i in range(len(rings) - 1):
-                plan.append((cycle, rng.choice(rings[i]),
-                             rng.choice(rings[i + 1])))
-    workers = int(params.get("workers", 0)) or None
-    stats, meta = run_parallel_plan(topo, config, plan, cycles,
-                                    workers=workers)
-    return {
-        "n_rings": int(params["n_rings"]),
-        "nodes_per_ring": int(params["nodes_per_ring"]),
-        "cycles": cycles,
-        "accepted": stats.accepted,
-        "delivered": stats.delivered,
-        "deflections": stats.deflections,
-        "mean_latency": stats.mean_total_latency(),
-        "parallel": meta.as_dict(),
-    }
-
-
 def ai_rw_point(point: SweepPoint, seed: int) -> Dict[str, Any]:
     """One R:W-ratio point of the Table 7-style AI bandwidth sweep."""
     from repro.ai import AiProcessor, AiProcessorConfig

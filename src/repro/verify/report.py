@@ -228,7 +228,7 @@ class VerifyReport:
             elif system.model_note:
                 lines.append(f"  model: skipped ({system.model_note})")
             for replay in system.replays:
-                mode = "fast" if replay.fast_path else "reference"
+                mode = "reference" if replay.engine == "ref" else "fast"
                 verdict = ("confirmed" if replay.confirmed
                            else "NOT CONFIRMED")
                 lines.append(
@@ -295,10 +295,9 @@ def run_verify(
                 system.counterexamples.append(ce)
                 if replay:
                     timer.start("replay")
-                    system.replays.append(
-                        replay_counterexample(ce, fast_path=True))
-                    system.replays.append(
-                        replay_counterexample(ce, fast_path=False))
+                    for engine in ("skip", "ref"):
+                        system.replays.append(
+                            replay_counterexample(ce, engine=engine))
                     timer.stop()
         system.timings = timer.timings
         report.systems.append(system)

@@ -129,34 +129,11 @@ def test_inverted_dense_hysteresis_band_detected():
     assert "bad-threshold" in rules(validate_config(config))
 
 
-def test_negative_parallel_knobs_detected():
-    config = MultiRingConfig(parallel_workers=-1)
-    assert "bad-threshold" in rules(validate_config(config))
-    config = MultiRingConfig(parallel_window=-2)
-    assert "bad-threshold" in rules(validate_config(config))
-    config = MultiRingConfig(parallel_step=True, parallel_workers=0,
-                             parallel_window=0)
-    assert "bad-threshold" not in rules(validate_config(config))
-
-
-def test_parallel_serial_fallback_warns_not_errors():
-    spec, _ = single_ring_topology(6)
-    config = MultiRingConfig(parallel_step=True)
-    findings = validate_config(config, spec=spec)
-    assert "parallel-serial-fallback" in rules(findings)
-    assert errors(findings) == []
-    # On a multi-ring system the knob is actionable: no warning.
-    pair_spec, _, _ = chiplet_pair()
-    assert "parallel-serial-fallback" not in rules(
-        validate_config(config, spec=pair_spec))
-
-
-def test_parallel_config_keys_accepted_in_scenarios():
+def test_removed_config_keys_rejected_in_scenarios():
     spec, _, _ = chiplet_pair()
-    raw = {"topology": topology_to_dict(spec),
-           "config": {"parallel_step": True, "parallel_workers": 2,
-                      "parallel_window": 4}}
-    assert "unknown-config-key" not in rules(validate_scenario(raw))
+    for key in ("parallel_step", "fast_path"):
+        raw = {"topology": topology_to_dict(spec), "config": {key: True}}
+        assert "unknown-config-key" in rules(validate_scenario(raw)), key
 
 
 def test_swap_disabled_interchiplet_cycle_detected():

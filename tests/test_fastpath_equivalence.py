@@ -1,7 +1,7 @@
 """Fast stepping must be cycle-for-cycle identical to the reference walk.
 
 ``Ring.step_fast`` only skips station visits it can prove are no-ops, so
-for the same seed the fast and reference (``fast_path=False``) paths
+for the same seed the fast and reference (``engine="ref"``) paths
 must produce byte-identical :class:`~repro.fabric.stats.FabricStats` —
 including per-message latency samples — on every topology and feature
 combination.  These tests drive randomized traffic through both and
@@ -56,8 +56,8 @@ def assert_equivalent(make_fabric, plan, cycles, kind=MessageKind.REQUEST):
 def ring_factory(nstops, bidirectional, **config_kwargs):
     def make(fast):
         topo, _ = single_ring_topology(nstops, bidirectional=bidirectional)
-        return MultiRingFabric(
-            topo, MultiRingConfig(fast_path=fast, **config_kwargs))
+        return MultiRingFabric(topo, MultiRingConfig(
+            engine="auto" if fast else "ref", **config_kwargs))
     return make
 
 
@@ -111,7 +111,8 @@ def test_chiplet_pair_swap_equivalence():
     def make(fast):
         t, _, _ = chiplet_pair(nodes_per_ring=4, stop_spacing=1)
         return MultiRingFabric(t, MultiRingConfig(
-            queues=queues, eject_drain_per_cycle=1, fast_path=fast))
+            queues=queues, eject_drain_per_cycle=1,
+            engine="auto" if fast else "ref"))
 
     stats = assert_equivalent(make, plan, 800, kind=MessageKind.DATA)
     assert stats.swap_events > 0, "scenario failed to exercise SWAP/DRM"
@@ -137,7 +138,8 @@ def test_fault_injection_equivalence():
     def make(fast):
         t, _, _ = chiplet_pair(nodes_per_ring=4)
         fabric = MultiRingFabric(t, MultiRingConfig(
-            reliability=LinkReliabilityConfig(), fast_path=fast))
+            reliability=LinkReliabilityConfig(),
+            engine="auto" if fast else "ref"))
         fabric.attach_fault_injector(
             FaultInjector(seed=5)
             .add(BitErrorModel(5e-2))
@@ -213,7 +215,7 @@ def test_exit_buckets_reverse_direction():
 
 def test_enqueue_inject_registers_station():
     topo, nodes = single_ring_topology(6, bidirectional=True)
-    fabric = MultiRingFabric(topo, MultiRingConfig(fast_path=True))
+    fabric = MultiRingFabric(topo, MultiRingConfig())
     ring = fabric.rings[0]
     assert not ring.pending_stations
     fabric.try_inject(Message(src=nodes[0], dst=nodes[3], msg_id=0))

@@ -91,15 +91,13 @@ def test_config_roundtrip_preserves_every_knob():
 
     config = MultiRingConfig(
         engine="dense",
-        parallel_step=True,
-        parallel_workers=3,
-        parallel_window=4,
+        engine_check_every=16,
         escape_slot_period=7,
         queues=QueueParams(inject_queue_depth=5),
     )
     rebuilt = config_from_dict(config_to_dict(config))
     assert rebuilt == config
-    assert rebuilt.parallel_step and rebuilt.parallel_workers == 3
+    assert rebuilt.engine_check_every == 16
     assert rebuilt.queues.inject_queue_depth == 5
 
 
@@ -109,10 +107,12 @@ def test_config_dict_rejects_unknown_keys_and_reliability():
     from repro.core.config import MultiRingConfig
     from repro.core.serialize import config_from_dict, config_to_dict
 
-    raw = config_to_dict(MultiRingConfig())
-    raw["parallel_stepp"] = True  # typo'd knob must not become a default
-    with pytest.raises(ValueError, match="unknown config keys"):
-        config_from_dict(raw)
+    # A typo'd knob, or one that was removed, must not become a default.
+    for key in ("parallel_stepp", "parallel_step", "fast_path"):
+        raw = config_to_dict(MultiRingConfig())
+        raw[key] = True
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_dict(raw)
 
     class FakeReliability:
         pass
@@ -129,7 +129,7 @@ def test_config_dict_defaults_missing_keys():
     from repro.core.serialize import config_from_dict, config_to_dict
 
     raw = config_to_dict(MultiRingConfig())
-    raw.pop("parallel_step")
-    raw.pop("parallel_workers")
+    raw.pop("engine_check_every")
+    raw.pop("lanes_per_direction")
     rebuilt = config_from_dict(raw)
     assert rebuilt == MultiRingConfig()
