@@ -15,34 +15,15 @@ evaluation (Section 5).  Conventions:
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
+from repro.ai import REDUCED_AI_SIZING
 from repro.cpu.package import ServerPackageConfig
-from repro.perf.cache import ResultCache
 
 #: Process-wide memo for results shared between benchmarks.
 CACHE: Dict[str, object] = {}
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: On-disk cache behind :func:`memo` (``benchmarks/.cache/``, gitignored)
-#: so results survive process boundaries — parallel pytest workers and
-#: repeated harness runs share work instead of resimulating.  Set
-#: ``REPRO_BENCH_CACHE=off`` to force every benchmark to recompute, or
-#: to a directory path to relocate the cache.
-_DISK_CACHE: Optional[ResultCache] = None
-
-
-def disk_cache() -> Optional[ResultCache]:
-    """The shared persistent cache, or None when disabled by env."""
-    global _DISK_CACHE
-    location = os.environ.get("REPRO_BENCH_CACHE", "")
-    if location.lower() == "off":
-        return None
-    if _DISK_CACHE is None:
-        root = location or os.path.join(os.path.dirname(__file__), ".cache")
-        _DISK_CACHE = ResultCache(root)
-    return _DISK_CACHE
 
 #: Reduced server package: 2 CCDs x 6 clusters x 4 cores = 48 cores,
 #: same topology family as the 96-core configuration.
@@ -51,44 +32,17 @@ BENCH_SERVER_CONFIG = ServerPackageConfig(
 )
 
 #: AI processor sizing used by Table 7 / Figure 14 / Table 8.
-BENCH_AI_KWARGS = dict(
-    n_hrings=6, n_llc=12, n_l2=36, n_hbm=6, n_dma=6,
-    core_mlp=48, dma_issues_per_cycle=0.4,
-)
+BENCH_AI_KWARGS = REDUCED_AI_SIZING
 
 #: Cycles simulated per AI bandwidth point.
 AI_BENCH_CYCLES = 2000
 
 
-def memo(key: str, compute: Callable[[], object],
-         params: Optional[dict] = None) -> object:
-    """Compute-once cache across benchmarks — and across processes.
-
-    The in-memory ``CACHE`` dict short-circuits repeats within one
-    process, as before.  Passing ``params`` (the inputs that make the
-    result what it is: config fingerprint, seed, cycles) additionally
-    persists a JSON-serializable result on disk via :func:`disk_cache`,
-    keyed by ``(key, params)``, so other processes reuse it.  Results
-    that are not JSON-serializable silently stay memory-only.
-    """
-    if key in CACHE:
-        return CACHE[key]
-    from repro.perf.cache import MISS
-
-    cache = disk_cache() if params is not None else None
-    disk_key = cache.make_key(key, **params) if cache is not None else None
-    value: object = MISS
-    if disk_key is not None:
-        value = cache.get(disk_key, MISS)
-    if value is MISS:
-        value = compute()
-        if disk_key is not None:
-            try:
-                cache.put(disk_key, value)
-            except TypeError:
-                pass
-    CACHE[key] = value
-    return value
+def memo(key: str, compute: Callable[[], object]) -> object:
+    """Compute-once cache across the benchmarks of one process."""
+    if key not in CACHE:
+        CACHE[key] = compute()
+    return CACHE[key]
 
 
 def save_result(name: str, text: str) -> str:

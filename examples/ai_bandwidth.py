@@ -11,7 +11,7 @@ Run:  python examples/ai_bandwidth.py  [--cycles N]
 
 import argparse
 
-from repro.ai import AiProcessor, AiProcessorConfig
+from repro.ai import REDUCED_AI_SIZING, AiProcessor, AiProcessorConfig
 
 
 def main() -> None:
@@ -23,10 +23,7 @@ def main() -> None:
     args = parser.parse_args()
 
     config = AiProcessorConfig(
-        read_fraction=args.read_fraction,
-        n_hrings=6, n_llc=12, n_l2=36, n_hbm=6, n_dma=6,
-        core_mlp=48, dma_issues_per_cycle=0.4,
-    )
+        read_fraction=args.read_fraction, **REDUCED_AI_SIZING)
     processor = AiProcessor(config, probe_window=256)
     print(f"AI processor: {config.n_cores} cores on {config.n_vrings} "
           f"vertical rings x {config.n_hrings} memory rings, "

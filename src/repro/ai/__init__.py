@@ -17,7 +17,11 @@ from repro.ai.l2slice import L2Slice
 from repro.ai.llc import LlcDirectory
 from repro.ai.hbm import HbmStack
 from repro.ai.dma import DmaEngine
-from repro.ai.mesh_system import AiProcessor, AiProcessorConfig
+from repro.ai.mesh_system import (
+    REDUCED_AI_SIZING,
+    AiProcessor,
+    AiProcessorConfig,
+)
 
 __all__ = [
     "AiMessage",
@@ -30,4 +34,5 @@ __all__ = [
     "DmaEngine",
     "AiProcessor",
     "AiProcessorConfig",
+    "REDUCED_AI_SIZING",
 ]

@@ -66,6 +66,16 @@ class AiProcessorConfig:
         return (total + self.n_hrings - 1) // self.n_hrings
 
 
+#: :class:`AiProcessorConfig` overrides for the reduced AI processor that
+#: the ``ai-bandwidth`` command, the R:W sweep worker, the example and the
+#: benchmark harness (Table 7 / Figure 14 / Table 8) all run: 32 AI cores
+#: at MLP 48 on an 8x6 ring grid, DMA at 0.4 issues/cycle/engine.
+REDUCED_AI_SIZING = dict(
+    n_hrings=6, n_llc=12, n_l2=36, n_hbm=6, n_dma=6,
+    core_mlp=48, dma_issues_per_cycle=0.4,
+)
+
+
 class AiProcessor(SimComponent):
     """A runnable AI processor on the paper's multi-ring mesh."""
 

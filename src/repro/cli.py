@@ -91,13 +91,10 @@ def _cmd_server(args: argparse.Namespace) -> int:
 
 
 def _cmd_ai(args: argparse.Namespace) -> int:
-    from repro.ai import AiProcessor, AiProcessorConfig
+    from repro.ai import REDUCED_AI_SIZING, AiProcessor, AiProcessorConfig
 
     config = AiProcessorConfig(
-        read_fraction=args.read_fraction,
-        n_hrings=6, n_llc=12, n_l2=36, n_hbm=6, n_dma=6,
-        core_mlp=48, dma_issues_per_cycle=0.4,
-    )
+        read_fraction=args.read_fraction, **REDUCED_AI_SIZING)
     processor = AiProcessor(config, probe_window=max(args.cycles // 16, 64))
     checker = (processor.fabric.attach_invariant_checker()
                if args.check_invariants else None)

@@ -168,18 +168,12 @@ class MultiRingConfig:
     #:   an attached trace recorder / invariant checker);
     #: - ``"auto"``  — start on ``skip`` and switch between ``skip`` and
     #:   ``dense`` per ring from measured slot occupancy, with
-    #:   hysteresis.  All four tiers are cycle-for-cycle identical.
+    #:   hysteresis (cadence and thresholds are the constants in
+    #:   :mod:`repro.core.ring`).  All four tiers are cycle-for-cycle
+    #:   identical.
+    #:
+    #: Each ring reads this once, when it is built.
     engine: str = "auto"
-    #: Cycles between occupancy samples of the ``"auto"`` engine
-    #: selector (per ring; rides :class:`repro.perf.dense.EngineSelector`
-    #: on the ``run_until`` check cadence where one is installed).
-    engine_check_every: int = 64
-    #: ``"auto"`` promotes a ring to the dense tier when its slot
-    #: occupancy fraction reaches this level ...
-    dense_enter_occupancy: float = 0.25
-    #: ... and demotes it back to ``skip`` below this level (hysteresis
-    #: band so occupancy noise does not thrash materialization).
-    dense_exit_occupancy: float = 0.10
     #: Enable the reliable die-to-die link layer (CRC/ack-nak/replay) on
     #: every RBRG-L2 (:class:`repro.faults.link.LinkReliabilityConfig`).
     #: None keeps the baseline perfect-pipe link; installing a

@@ -171,6 +171,9 @@ class MultiRingFabric(Fabric):
         every :meth:`step` and raises
         :class:`repro.lint.invariants.InvariantViolation` on failure; it
         only reads state, so checked runs reproduce unchecked stats.
+        This is the only way to attach one: a driver that registers the
+        fabric last on its :class:`repro.sim.engine.Simulator` gets
+        checks on each cycle's final state.
         """
         if checker is None:
             from repro.lint.invariants import FabricInvariantChecker
@@ -179,7 +182,7 @@ class MultiRingFabric(Fabric):
         # Probes read per-slot object state after every cycle; keep the
         # rings on the scalar tiers so that state stays live.
         for ring in self._ring_list:
-            ring.pin_scalar("invariant checker attached")
+            ring.pin_scalar()
         return checker
 
     def attach_trace_recorder(self, recorder=None, kinds=None,
@@ -202,7 +205,7 @@ class MultiRingFabric(Fabric):
         # the first traced cycle.  (Rings also self-demote on a
         # recorder assigned directly to ``stats.trace``.)
         for ring in self._ring_list:
-            ring.pin_scalar("trace recorder attached")
+            ring.pin_scalar()
         return recorder
 
     def attach_fault_injector(self, injector):
@@ -247,17 +250,6 @@ class MultiRingFabric(Fabric):
         return total
 
     # -- stepping mode -----------------------------------------------------
-
-    def set_engine(self, mode: str) -> None:
-        """Set the stepping-engine tier policy on every ring.
-
-        ``mode`` is one of ``"auto"``, ``"ref"``, ``"skip"``,
-        ``"dense"`` — see ``MultiRingConfig.engine``.  Takes effect at
-        the next cycle boundary; an active dense engine dematerializes
-        first, so switching mid-run is always exact.
-        """
-        for ring in self._ring_list:
-            ring.set_engine(mode)
 
     def engine_tiers(self) -> Dict[int, str]:
         """Per-ring active tier (``ring_id -> "ref"|"skip"|"dense"``)."""

@@ -33,6 +33,15 @@ from repro.core.station import CrossStation, Port
 from repro.fabric.stats import FabricStats
 from repro.obs.trace import port_key_str
 
+#: Cycles between a ring's tier checks in ``"auto"`` and ``"dense"`` mode.
+ENGINE_CHECK_EVERY = 64
+#: ``"auto"`` promotes a ring to the dense tier when its slot occupancy
+#: fraction reaches this level ...
+DENSE_ENTER_OCCUPANCY = 0.25
+#: ... and demotes it back to ``skip`` at or below this level (hysteresis
+#: band so occupancy noise does not thrash materialization).
+DENSE_EXIT_OCCUPANCY = 0.10
+
 
 class SlotList(list):
     """A fixed-size list of optional slot contents with O(1) occupancy.
@@ -232,13 +241,8 @@ class Ring:
         #: Active :class:`repro.perf.dense.DenseRingEngine`, or None
         #: while a scalar step runs.
         self._dense = None
-        #: Set while instrumentation that reads per-slot object state
-        #: every cycle (trace recorder, invariant checker) is attached;
-        #: keeps the dense tier off so scalar-path guarantees (byte-
-        #: identical trace streams, probe visibility) stay intact.
-        self._scalar_pin: Optional[str] = None
-        #: Last reason the dense tier was refused (diagnostics).
-        self._dense_blocked: Optional[str] = None
+        #: Cycle of the next tier check; never once the policy is settled
+        #: (``ref``/``skip`` mode, a structural refusal, or a scalar pin).
         self._next_engine_check = (
             0 if mode in ("auto", "dense") else float("inf"))
 
@@ -286,21 +290,15 @@ class Ring:
 
     # -- engine-tier policy ------------------------------------------------
 
-    def set_engine(self, mode: str) -> None:
-        """Switch this ring's stepping tier policy at a cycle boundary."""
-        if mode not in ("auto", "ref", "skip", "dense"):
-            raise ValueError(
-                f"unknown engine {mode!r}; pick auto, ref, skip, or dense")
-        if self._dense is not None:
-            self._exit_dense()
-        self.engine_mode = mode
-        self.fast_path = mode != "ref"
-        self._next_engine_check = (
-            0 if mode in ("auto", "dense") else float("inf"))
+    def pin_scalar(self) -> None:
+        """Keep this ring off the dense tier for good.
 
-    def pin_scalar(self, reason: str) -> None:
-        """Keep this ring off the dense tier (instrumentation attached)."""
-        self._scalar_pin = reason
+        Instrumentation that reads per-slot object state every cycle
+        (trace recorder, invariant checker) calls this, so scalar-path
+        guarantees (byte-identical trace streams, probe visibility) stay
+        intact.
+        """
+        self._next_engine_check = float("inf")
         if self._dense is not None:
             self._exit_dense()
 
@@ -312,39 +310,29 @@ class Ring:
 
     def _engine_check(self, cycle: int) -> None:
         """Periodic tier decision (auto/dense modes only)."""
-        mode = self.engine_mode
-        if mode not in ("auto", "dense"):
-            self._next_engine_check = float("inf")
+        self._next_engine_check = cycle + ENGINE_CHECK_EVERY
+        if self.stats.trace.enabled:
+            # Never promote while traced; :meth:`step` demotes.
             return
-        self._next_engine_check = cycle + self.config.engine_check_every
-        if self._scalar_pin is not None or self.stats.trace.enabled:
-            if self._dense is not None:
-                self._exit_dense()
-            return
-        if mode == "dense":
+        if self.engine_mode == "dense":
             if self._dense is None:
                 self._enter_dense(cycle)
             return
-        config = self.config
         slots = self.spec.nstops * len(self.lanes)
         occupancy = self.occupancy() / slots if slots else 0.0
         if self._dense is None:
-            if occupancy >= config.dense_enter_occupancy:
+            if occupancy >= DENSE_ENTER_OCCUPANCY:
                 self._enter_dense(cycle)
-        elif occupancy <= config.dense_exit_occupancy:
+        elif occupancy <= DENSE_EXIT_OCCUPANCY:
             self._exit_dense()
 
     def _enter_dense(self, cycle: int) -> None:
         from repro.perf.dense import DenseRingEngine, dense_ineligible_reason
-        reason = dense_ineligible_reason(self)
-        if reason is not None:
-            self._dense_blocked = reason
-            if self.engine_mode == "dense":
-                # Forced onto an ineligible ring: fall back to the skip
-                # tier permanently instead of re-checking forever.
-                self._next_engine_check = float("inf")
+        if dense_ineligible_reason(self) is not None:
+            # The refusal is structural and adding ports never lifts it,
+            # so stay on the skip tier for good instead of re-checking.
+            self._next_engine_check = float("inf")
             return
-        self._dense_blocked = None
         self._dense = DenseRingEngine(self, cycle)
 
     def _exit_dense(self) -> None:

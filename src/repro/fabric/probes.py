@@ -1,22 +1,17 @@
-"""Bandwidth and invariant probes.
+"""Bandwidth probes.
 
 Section 5.4: "we integrated several probes in the NoC" and plotted each
 probe's windowed bandwidth over the run to show equilibrium (>80% of the
 maximum for most of the run).  :class:`BandwidthProbe` counts bytes in
 fixed windows; :class:`ProbeSet` computes the equilibrium statistics.
 
-:class:`InvariantProbe` is the correctness counterpart: a
-:class:`repro.sim.engine.SimComponent` adapter around a
-:class:`repro.lint.invariants.FabricInvariantChecker` so invariant
-verification can be registered on a simulator like any other probe
-(register it last — it must observe post-step state).
+The correctness counterpart, the runtime invariant checker, attaches
+through :meth:`repro.core.network.MultiRingFabric.attach_invariant_checker`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
-
-from repro.sim.engine import SimComponent
 
 
 class BandwidthProbe:
@@ -56,36 +51,6 @@ class BandwidthProbe:
     @property
     def total_bytes(self) -> float:
         return sum(self._windows) + self._current
-
-
-class InvariantProbe(SimComponent):
-    """Steps a fabric invariant checker once per simulator cycle.
-
-    Built from a fabric (``InvariantProbe.for_fabric(fabric)``) or an
-    existing :class:`repro.lint.invariants.FabricInvariantChecker`.
-    Raises :class:`repro.lint.invariants.InvariantViolation` with cycle
-    and station context the moment an invariant breaks.
-    """
-
-    def __init__(self, checker):
-        self.checker = checker
-
-    @classmethod
-    def for_fabric(cls, fabric, check_every: int = 1,
-                   max_extra_laps=None) -> "InvariantProbe":
-        from repro.lint.invariants import FabricInvariantChecker
-        return cls(FabricInvariantChecker(fabric, check_every=check_every,
-                                          max_extra_laps=max_extra_laps))
-
-    def step(self, cycle: int) -> None:
-        self.checker.check(cycle)
-
-    @property
-    def checks_run(self) -> int:
-        return self.checker.checks_run
-
-    def summary(self) -> str:
-        return self.checker.summary()
 
 
 class ProbeSet:

@@ -59,9 +59,8 @@ class FabricInvariantChecker:
     """Per-cycle invariant verification for one multi-ring fabric.
 
     Attach with :meth:`repro.core.network.MultiRingFabric.
-    attach_invariant_checker` (the fabric then calls :meth:`check` at the
-    end of every :meth:`step`), or register :meth:`check` on a
-    :class:`repro.sim.engine.Simulator` via ``register_invariant``.
+    attach_invariant_checker`; the fabric then calls :meth:`check` at
+    the end of every :meth:`step`.
 
     ``check_every`` thins the probe for long runs; ``max_extra_laps``
     overrides the per-ring deflection bound (default: four times the

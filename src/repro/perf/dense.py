@@ -61,8 +61,7 @@ except ImportError:  # pragma: no cover - exercised only on bare installs
 
 from repro.core.routing import ring_direction
 
-__all__ = ["DenseRingEngine", "EngineSelector", "dense_ineligible_reason",
-           "numpy_available"]
+__all__ = ["DenseRingEngine", "dense_ineligible_reason", "numpy_available"]
 
 
 def numpy_available() -> bool:
@@ -72,9 +71,10 @@ def numpy_available() -> bool:
 def dense_ineligible_reason(ring) -> Optional[str]:
     """Why ``ring`` cannot run the dense tier (None = eligible).
 
-    Checked by the selector before every promotion; the conditions are
-    structural (they can only change while the fabric is being built or
-    when instrumentation is attached), so a reason is also stable enough
+    The conditions are structural: they can only change while the
+    fabric is being built, and adding ports never lifts one.  A ring
+    therefore asks once, at its first promotion attempt, and stays on
+    the scalar tiers after a refusal; the reason is also stable enough
     to surface in bench reports and docs.
     """
     if _np is None:
@@ -512,28 +512,3 @@ class DenseRingEngine:
     def occupancy(self) -> int:
         return sum(self.occ)
 
-
-class EngineSelector:
-    """Occupancy-driven tier switching for a fabric's rings.
-
-    Rings in ``engine="auto"`` mode already self-sample on the
-    ``engine_check_every`` cadence inside ``Ring.step``; this helper is
-    the ``run_until(on_check=...)`` face of the same mechanism, so a
-    driver that already has a check cadence (drain predicates, the
-    observability snapshot sampler) can ride tier decisions on it
-    instead of adding a second interval:
-
-    >>> sim.run_until(fabric.idle, 10_000, check_every=64,
-    ...               on_check=[EngineSelector(fabric), sampler.sample])
-
-    Calling the selector forces an immediate occupancy evaluation on
-    every auto-mode ring (hysteresis still applies).
-    """
-
-    def __init__(self, fabric):
-        self.fabric = fabric
-
-    def __call__(self, cycle: int) -> None:
-        for ring in self.fabric._ring_list:
-            if ring.engine_mode == "auto":
-                ring._engine_check(cycle)

@@ -24,14 +24,11 @@ from repro.perf.sweep import SweepPoint
 
 def ai_rw_point(point: SweepPoint, seed: int) -> Dict[str, Any]:
     """One R:W-ratio point of the Table 7-style AI bandwidth sweep."""
-    from repro.ai import AiProcessor, AiProcessorConfig
+    from repro.ai import REDUCED_AI_SIZING, AiProcessor, AiProcessorConfig
 
     params = point.as_dict()
     config = AiProcessorConfig(
-        read_fraction=params["read_fraction"],
-        n_hrings=6, n_llc=12, n_l2=36, n_hbm=6, n_dma=6,
-        core_mlp=48, dma_issues_per_cycle=0.4,
-    )
+        read_fraction=params["read_fraction"], **REDUCED_AI_SIZING)
     processor = AiProcessor(config, seed=seed % (2 ** 31))
     processor.run(params["cycles"])
     report = processor.bandwidth_report()

@@ -33,7 +33,6 @@ class Simulator:
 
     def __init__(self) -> None:
         self._components: List[SimComponent] = []
-        self._invariants: List[Callable[[int], None]] = []
         self._cycle = 0
 
     @property
@@ -45,28 +44,11 @@ class Simulator:
         """Append ``component`` to the per-cycle step order."""
         self._components.append(component)
 
-    def register_first(self, component: SimComponent) -> None:
-        """Prepend ``component`` so it steps before everything else."""
-        self._components.insert(0, component)
-
-    def register_invariant(self, check: Callable[[int], None]) -> None:
-        """Add an invariant probe called after every component each cycle.
-
-        Probes are opt-in (``--check-invariants``): they observe the
-        post-step state and raise
-        :class:`repro.lint.invariants.InvariantViolation` on failure, so
-        a run stops at the first cycle where an invariant breaks rather
-        than producing silently wrong statistics.
-        """
-        self._invariants.append(check)
-
     def step(self) -> None:
         """Advance the whole system by one cycle."""
         cycle = self._cycle
         for component in self._components:
             component.step(cycle)
-        for check in self._invariants:
-            check(cycle)
         self._cycle = cycle + 1
 
     def run(self, cycles: int) -> None:
@@ -74,27 +56,16 @@ class Simulator:
 
         Fused loop: the component list is bound once (it is the live
         list, so components registered mid-run still step the same cycle,
-        exactly as per-cycle :meth:`step` calls would) and the invariant
-        sweep is skipped entirely when no probe is registered.
+        exactly as per-cycle :meth:`step` calls would).
         """
         components = self._components
-        invariants = self._invariants
         cycle = self._cycle
         end = cycle + cycles
-        if invariants:
-            while cycle < end:
-                for component in components:
-                    component.step(cycle)
-                for check in invariants:
-                    check(cycle)
-                cycle += 1
-                self._cycle = cycle
-        else:
-            while cycle < end:
-                for component in components:
-                    component.step(cycle)
-                cycle += 1
-                self._cycle = cycle
+        while cycle < end:
+            for component in components:
+                component.step(cycle)
+            cycle += 1
+            self._cycle = cycle
 
     def run_until(
         self,
@@ -121,10 +92,7 @@ class Simulator:
         This is the sampling hook the observability layer's
         :class:`repro.obs.metrics.SnapshotSampler` plugs into: periodic
         measurement rides the existing check cadence instead of adding a
-        second bookkeeping interval.  A list/tuple of callables is also
-        accepted and invoked in order, so several riders (a snapshot
-        sampler, a :class:`repro.perf.dense.EngineSelector`) can share
-        the one cadence.
+        second bookkeeping interval.
 
         ``watchdog`` (a :class:`repro.faults.watchdog.ProgressWatchdog`)
         is observed after every step and turns a wedged system into a
@@ -133,13 +101,6 @@ class Simulator:
         """
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if on_check is not None and not callable(on_check):
-            hooks = list(on_check)
-
-            def on_check(cycle, _hooks=hooks):
-                for hook in _hooks:
-                    hook(cycle)
-
         steps = 0
         for _ in range(max_cycles):
             self.step()

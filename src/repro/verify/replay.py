@@ -22,7 +22,7 @@ from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
 from repro.core.serialize import topology_from_dict, topology_to_dict
 from repro.fabric.message import Message
-from repro.lint.invariants import FabricInvariantChecker, InvariantViolation
+from repro.lint.invariants import InvariantViolation
 from repro.params import QueueParams
 from repro.sim.engine import FunctionComponent, Simulator
 from repro.verify.model import Violation
@@ -159,13 +159,11 @@ def replay_counterexample(
     """
     spec = topology_from_dict(ce.topology)
     config = config_from_dict(ce.config)
-    fabric = MultiRingFabric(spec, config)
+    fabric = MultiRingFabric(spec, dataclasses.replace(config, engine=engine))
     fabric.stats.keep_samples = False
     for node in fabric.nodes():
         fabric.attach(node, _discard)
-    fabric.set_engine(engine)
-    checker = FabricInvariantChecker(fabric,
-                                     max_extra_laps=ce.max_extra_laps)
+    fabric.attach_invariant_checker(max_extra_laps=ce.max_extra_laps)
 
     schedule = ce.schedule
     rejected = [0]
@@ -180,8 +178,9 @@ def replay_counterexample(
 
     sim = Simulator()
     sim.register(FunctionComponent(inject, "counterexample-injector"))
+    # Registered last, so its invariant checks see each cycle's final
+    # state.
     sim.register(fabric)
-    sim.register_invariant(checker.check)
 
     result = ReplayResult(confirmed=False, engine=engine,
                           expected_rule=ce.rule,

@@ -97,43 +97,6 @@ def run_kernel(
     }
 
 
-def single_core_suite(
-    fabric_kind: str,
-    config=None,
-    kernels: Optional[Sequence[str]] = None,
-    lines_per_core: int = 256,
-) -> Dict[str, Dict[str, float]]:
-    """Figure 10(A): one core against the whole package's DDR."""
-    names = list(kernels or LMBENCH_KERNELS)
-    out: Dict[str, Dict[str, float]] = {}
-    for name in names:
-        package = ServerPackage(config, fabric_kind=fabric_kind)
-        out[name] = run_kernel(package, LMBENCH_KERNELS[name], [(0, 0)],
-                               lines_per_core=lines_per_core)
-    return out
-
-
-def all_core_suite(
-    fabric_kind: str,
-    config=None,
-    kernels: Optional[Sequence[str]] = None,
-    lines_per_core: int = 64,
-) -> Dict[str, Dict[str, float]]:
-    """Figure 10(B): every cluster competing for DDR bandwidth."""
-    names = list(kernels or LMBENCH_KERNELS)
-    out: Dict[str, Dict[str, float]] = {}
-    for name in names:
-        package = ServerPackage(config, fabric_kind=fabric_kind)
-        clusters = [
-            (ccd, cluster)
-            for ccd in range(package.config.n_ccds)
-            for cluster in range(package.config.clusters_per_ccd)
-        ]
-        out[name] = run_kernel(package, LMBENCH_KERNELS[name], clusters,
-                               lines_per_core=lines_per_core)
-    return out
-
-
 def run_lat_mem_rd(
     package: ServerPackage,
     ccd: int = 0,

@@ -12,8 +12,8 @@ active idle) and scores sum(ssj_ops) / sum(watts).  The model combines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 #: The graduated load points of SPECpower-ssj2008.
 LOAD_LEVELS: List[float] = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
@@ -57,9 +57,3 @@ class SpecPowerModel:
         total_ops = sum(self.ssj_ops(level) for level in LOAD_LEVELS)
         total_watts = sum(self.watts(level) for level in LOAD_LEVELS)
         return total_ops / total_watts
-
-    def per_level(self) -> Dict[float, Dict[str, float]]:
-        return {
-            level: {"ssj_ops": self.ssj_ops(level), "watts": self.watts(level)}
-            for level in LOAD_LEVELS
-        }

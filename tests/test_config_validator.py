@@ -121,17 +121,10 @@ def test_bad_engine_mode_detected():
             validate_config(MultiRingConfig(engine=mode)))
 
 
-def test_inverted_dense_hysteresis_band_detected():
-    config = MultiRingConfig(dense_enter_occupancy=0.1,
-                             dense_exit_occupancy=0.5)
-    assert "bad-threshold" in rules(validate_config(config))
-    config = MultiRingConfig(engine_check_every=0)
-    assert "bad-threshold" in rules(validate_config(config))
-
-
 def test_removed_config_keys_rejected_in_scenarios():
     spec, _, _ = chiplet_pair()
-    for key in ("parallel_step", "fast_path"):
+    for key in ("parallel_step", "fast_path", "engine_check_every",
+                "dense_enter_occupancy", "dense_exit_occupancy"):
         raw = {"topology": topology_to_dict(spec), "config": {key: True}}
         assert "unknown-config-key" in rules(validate_scenario(raw)), key
 

@@ -13,6 +13,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import repro.core.ring as ring_module
+import repro.perf.dense as dense_module
 from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
 from repro.core.topology import single_ring_topology
@@ -125,37 +127,49 @@ def test_feature_ablations_across_tiers(config_kwargs):
 
 
 @needs_numpy
-def test_selector_thrash_is_exact():
-    """A pathological check cadence (every cycle, zero hysteresis gap)
-    forces the auto selector to materialize/dematerialize constantly;
-    the round-trips must stay invisible."""
+def test_selector_thrash_is_exact(monkeypatch):
+    """A pathological check cadence (every cycle) forces the auto
+    selector to materialize/dematerialize constantly; the round-trips
+    must stay invisible."""
+    monkeypatch.setattr(ring_module, "ENGINE_CHECK_EVERY", 1)
     plan = crossover_plan(list(range(12)), seed=41)
     ref = run_plan(make_ring("ref", 12), plan, 1000)
-    thrash = run_plan(make_ring("auto", 12, engine_check_every=1),
-                      plan, 1000)
+    thrash = run_plan(make_ring("auto", 12), plan, 1000)
     assert thrash == ref
 
 
-@needs_numpy
-def test_mid_run_engine_switch_round_trips():
-    """Explicit set_engine() flips mid-run dematerialize exactly."""
-    plan = uniform_plan(list(range(16)), 900, 8, seed=51)
-    ref = run_plan(make_ring("ref"), plan, 900)
+def test_ineligible_ring_is_refused_once(monkeypatch):
+    """A ring that cannot run dense because of its structure asks
+    ``dense_ineligible_reason`` once, not at every check, even while
+    traffic keeps it above the promotion threshold."""
+    calls = []
+    reason = dense_module.dense_ineligible_reason
 
-    fabric = make_ring("dense")
+    def counting_reason(ring):
+        calls.append(ring.spec.ring_id)
+        return reason(ring)
+
+    monkeypatch.setattr(dense_module, "dense_ineligible_reason",
+                        counting_reason)
+    fabric = make_ring("auto", 12, lanes_per_direction=2)
+    ring = fabric.rings[0]
+    slots = ring.spec.nstops * len(ring.lanes)
+    nodes = list(range(12))
+    plan = uniform_plan(nodes, 1500, 12, seed=81)
     i, n = 0, len(plan)
-    for cycle in range(900):
-        if cycle == 300:
-            fabric.set_engine("ref")
-        elif cycle == 600:
-            fabric.set_engine("dense")
+    hot_cycles = 0
+    for cycle in range(1500):
         while i < n and plan[i][0] == cycle:
             _, src, dst = plan[i]
             fabric.try_inject(Message(src=src, dst=dst,
                                       created_cycle=cycle, msg_id=i))
             i += 1
         fabric.step(cycle)
-    assert fabric.stats == ref
+        if ring.occupancy() / slots >= ring_module.DENSE_ENTER_OCCUPANCY:
+            hot_cycles += 1
+    assert hot_cycles >= 1000
+    assert len(calls) <= 1
+    assert ring.active_tier() == "skip"
 
 
 @needs_numpy
@@ -226,22 +240,3 @@ def test_dense_eligibility_reporting():
     escape = MultiRingFabric(
         topo, MultiRingConfig(escape_slot_period=4)).rings[0]
     assert dense_ineligible_reason(escape) is not None
-
-
-# -- run_until hook-list plumbing (selector + sampler share a cadence) ----
-
-
-def test_run_until_accepts_hook_list():
-    from repro.sim.engine import FunctionComponent, Simulator
-
-    seen = []
-    sim = Simulator()
-    sim.register(FunctionComponent(lambda cycle: None))
-    fired = sim.run_until(
-        predicate=lambda: False, max_cycles=10, check_every=4,
-        on_check=[lambda c: seen.append(("a", c)),
-                  lambda c: seen.append(("b", c))])
-    assert not fired
-    # Checks after steps 4 and 8, plus the final partial window at 10.
-    assert seen == [("a", 4), ("b", 4), ("a", 8), ("b", 8),
-                    ("a", 10), ("b", 10)]

@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import MultiRingFabric, chiplet_pair, single_ring_topology
 from repro.core.config import MultiRingConfig
 from repro.fabric import Message, MessageKind
-from repro.fabric.probes import InvariantProbe
 from repro.lint import FabricInvariantChecker, InvariantViolation
 from repro.params import QueueParams
-from repro.sim.engine import FunctionComponent, Simulator
 from repro.sim.rng import make_rng
 
 pytestmark = pytest.mark.lint
@@ -199,49 +197,6 @@ def test_phantom_itag_pending_detected():
         checker.check(cycle)
     assert exc.value.rule == "itag-consistency"
     assert "no lane carries" in str(exc.value)
-
-
-# -- engine/probe wiring --------------------------------------------------
-
-
-def _traffic_component(fabric, nodes, seed=3):
-    rng = make_rng(seed)
-
-    def traffic(cycle):
-        src = rng.choice(nodes)
-        dst = rng.choice([n for n in nodes if n != src])
-        fabric.try_inject(Message(src=src, dst=dst, kind=MessageKind.DATA,
-                                  created_cycle=cycle))
-
-    return FunctionComponent(traffic, "traffic")
-
-
-def test_invariant_probe_runs_under_simulator():
-    topo, nodes = single_ring_topology(6)
-    fabric = MultiRingFabric(topo)
-    probe = InvariantProbe.for_fabric(fabric)
-    sim = Simulator()
-    sim.register(_traffic_component(fabric, nodes))
-    sim.register(fabric)
-    sim.register(probe)
-    sim.run(80)
-    assert probe.checks_run == 80
-    assert "0 violations" in probe.summary()
-
-
-def test_simulator_register_invariant_hook():
-    topo, nodes = single_ring_topology(6)
-    fabric = MultiRingFabric(topo)
-    checker = FabricInvariantChecker(fabric)
-    sim = Simulator()
-    sim.register(_traffic_component(fabric, nodes))
-    sim.register(fabric)
-    sim.register_invariant(checker.check)
-    sim.run(40)
-    lane, idx, _ = first_occupied(fabric)
-    lane.flits[idx] = None
-    with pytest.raises(InvariantViolation):
-        sim.run(1)
 
 
 # -- property: deflection bound holds under full eject queues -------------

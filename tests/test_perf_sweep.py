@@ -368,36 +368,6 @@ def test_unknown_case_is_skipped():
     assert compare_to_baseline(report, _report(1.0)) == []
 
 
-# -- benchmarks/common.py disk-backed memo --------------------------------
-
-
-def test_memo_persists_across_processes(tmp_path, monkeypatch):
-    import importlib
-    import subprocess
-    import sys
-
-    monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = (
-        "import sys;"
-        f"sys.path.insert(0, {repr(os.path.join(repo_root, 'benchmarks'))});"
-        f"sys.path.insert(0, {repr(os.path.join(repo_root, 'src'))});"
-        "import common;"
-        "print(common.memo('t', lambda: 41 + 1, params={'seed': 1}))"
-    )
-    env = dict(os.environ, REPRO_BENCH_CACHE=str(tmp_path))
-    out1 = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert out1.stdout.strip() == "42", out1.stderr
-    # Second process: computed value must come from disk (lambda would
-    # still return 42, so instead check that an entry file exists).
-    entries = [n for n in os.listdir(str(tmp_path)) if n.endswith(".json")]
-    assert len(entries) == 1
-    out2 = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert out2.stdout.strip() == "42", out2.stderr
-
-
 # -- static prefilter ------------------------------------------------------
 
 

@@ -91,13 +91,13 @@ def test_config_roundtrip_preserves_every_knob():
 
     config = MultiRingConfig(
         engine="dense",
-        engine_check_every=16,
+        bridge_route_penalty=3,
         escape_slot_period=7,
         queues=QueueParams(inject_queue_depth=5),
     )
     rebuilt = config_from_dict(config_to_dict(config))
     assert rebuilt == config
-    assert rebuilt.engine_check_every == 16
+    assert rebuilt.bridge_route_penalty == 3
     assert rebuilt.queues.inject_queue_depth == 5
 
 
@@ -108,7 +108,9 @@ def test_config_dict_rejects_unknown_keys_and_reliability():
     from repro.core.serialize import config_from_dict, config_to_dict
 
     # A typo'd knob, or one that was removed, must not become a default.
-    for key in ("parallel_stepp", "parallel_step", "fast_path"):
+    for key in ("parallel_stepp", "parallel_step", "fast_path",
+                "engine_check_every", "dense_enter_occupancy",
+                "dense_exit_occupancy"):
         raw = config_to_dict(MultiRingConfig())
         raw[key] = True
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -129,7 +131,7 @@ def test_config_dict_defaults_missing_keys():
     from repro.core.serialize import config_from_dict, config_to_dict
 
     raw = config_to_dict(MultiRingConfig())
-    raw.pop("engine_check_every")
+    raw.pop("bridge_route_penalty")
     raw.pop("lanes_per_direction")
     rebuilt = config_from_dict(raw)
     assert rebuilt == MultiRingConfig()

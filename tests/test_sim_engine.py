@@ -24,15 +24,6 @@ def test_run_steps_components_in_order():
     assert order == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
 
 
-def test_register_first_prepends():
-    sim = Simulator()
-    order = []
-    sim.register(FunctionComponent(lambda c: order.append("late")))
-    sim.register_first(FunctionComponent(lambda c: order.append("early")))
-    sim.run(1)
-    assert order == ["early", "late"]
-
-
 def test_cycle_counts_completed_steps():
     sim = Simulator()
     counter = Counter()
