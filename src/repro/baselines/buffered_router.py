@@ -76,18 +76,28 @@ class BufferedRouter:
 
     def step(self, cycle: int, dst_lookup: Callable[[Message], Tuple[int, int]]) -> None:
         """Grant at most one flit per output port, round-robin over inputs."""
+        inputs = self.inputs
+        # Output port wanted by each input's head; None while the buffer
+        # is empty or its head is still in the pipeline.  Only a grant
+        # changes a head, so each head is routed once.
+        wants: List[Optional[int]] = [None] * 5
+        for in_port in range(5):
+            buf = inputs[in_port]
+            if buf and buf[0][0] <= cycle:
+                wants[in_port] = self.output_for(dst_lookup(buf[0][1]))
+        rr = self._rr
         # Separate RR pointer per output port: scan inputs starting at the
         # output's pointer so persistent traffic cannot starve a port.
         for out_port in range(5):
-            start = self._rr[out_port]
+            if out_port not in wants:
+                continue
+            start = rr[out_port]
             for k in range(5):
                 in_port = (start + k) % 5
-                buf = self.inputs[in_port]
-                if not buf or buf[0][0] > cycle:
+                if wants[in_port] != out_port:
                     continue
+                buf = inputs[in_port]
                 msg = buf[0][1]
-                if self.output_for(dst_lookup(msg)) != out_port:
-                    continue
                 if out_port == LOCAL:
                     buf.pop(0)
                     self._deliver(msg, cycle)
@@ -103,7 +113,12 @@ class BufferedRouter:
                     neighbor.accept(
                         _OPPOSITE[out_port], msg, cycle + self.pipeline_latency
                     )
-                self._rr[out_port] = (in_port + 1) % 5
+                # The granted input's next head may win a later output.
+                wants[in_port] = (
+                    self.output_for(dst_lookup(buf[0][1]))
+                    if buf and buf[0][0] <= cycle else None
+                )
+                rr[out_port] = (in_port + 1) % 5
                 break
 
     def occupancy(self) -> int:

@@ -47,3 +47,11 @@ class IdealFabric(Fabric):
         while self._in_flight and self._in_flight[0][0] <= cycle:
             _, _, msg = heapq.heappop(self._in_flight)
             self._deliver(msg, cycle)
+
+    # -- instrumentation ----------------------------------------------------
+
+    def occupancy(self) -> int:
+        return len(self._in_flight)
+
+    def messages_in_flight(self) -> List[Message]:
+        return [msg for _, _, msg in self._in_flight]

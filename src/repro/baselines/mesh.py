@@ -85,6 +85,8 @@ class BufferedMeshFabric(Fabric):
         self._inject_queues: Dict[int, List[Message]] = {
             node: [] for node in self._placement
         }
+        #: Messages across all source queues, so an idle cycle skips the scan.
+        self._queued = 0
         self._delivery_cycle = 0
 
     # -- Fabric interface ---------------------------------------------------
@@ -105,24 +107,32 @@ class BufferedMeshFabric(Fabric):
             self.stats.rejected += 1
             return False
         queue.append(msg)
+        self._queued += 1
         self.stats.accepted += 1
         return True
 
     def step(self, cycle: int) -> None:
         self._delivery_cycle = cycle
         # Source queues compete for the local input buffer of their router.
-        for node, queue in self._inject_queues.items():
-            if not queue:
-                continue
-            router = self.routers[self._placement[node]]
-            if router.has_space(LOCAL):
-                msg = queue.pop(0)
-                msg.injected_cycle = cycle
-                self.stats.injected += 1
-                router.accept(LOCAL, msg, cycle)
+        if self._queued:
+            for node, queue in self._inject_queues.items():
+                if not queue:
+                    continue
+                router = self.routers[self._placement[node]]
+                if router.has_space(LOCAL):
+                    msg = queue.pop(0)
+                    self._queued -= 1
+                    msg.injected_cycle = cycle
+                    self.stats.injected += 1
+                    router.accept(LOCAL, msg, cycle)
+        # A router with every input buffer empty grants nothing and keeps
+        # its round-robin pointers, so skipping it is exact.  The check
+        # runs in the loop: a router stepped earlier this cycle may have
+        # just filled a later one's buffer.
         lookup = self._dst_lookup
         for router in self.routers.values():
-            router.step(cycle, lookup)
+            if any(router.inputs):
+                router.step(cycle, lookup)
 
     def _dst_lookup(self, msg: Message) -> Tuple[int, int]:
         return self._placement[msg.dst]
@@ -134,8 +144,7 @@ class BufferedMeshFabric(Fabric):
 
     def occupancy(self) -> int:
         in_routers = sum(r.occupancy() for r in self.routers.values())
-        in_sources = sum(len(q) for q in self._inject_queues.values())
-        return in_routers + in_sources
+        return in_routers + self._queued
 
     def messages_in_flight(self) -> List[Message]:
         out: List[Message] = []

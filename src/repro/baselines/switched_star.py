@@ -111,9 +111,16 @@ class SwitchedStarFabric(Fabric):
             for i in range(len(config.chiplets))
         ]
         self._hub = Link("hub", config.hub_latency, config.hub_rate, depth * 2)
+        #: Every link in reverse flow order, so a message moves one
+        #: stage per cycle.
+        self._stages: List[Link] = (
+            self._locals + self._downlinks + [self._hub] + self._uplinks
+        )
         self._inject_queues: Dict[int, List[Message]] = {
             node: [] for node in self._chiplet_of
         }
+        #: Messages across all source queues, so an idle cycle skips the scan.
+        self._queued = 0
         #: msg_id -> remaining path (list of Links, then delivery).
         self._paths: Dict[int, List[Link]] = {}
 
@@ -149,30 +156,34 @@ class SwitchedStarFabric(Fabric):
             self.stats.rejected += 1
             return False
         queue.append(msg)
+        self._queued += 1
         self.stats.accepted += 1
         return True
 
     def step(self, cycle: int) -> None:
         # Sources enter the first stage of their path.
-        for node, queue in self._inject_queues.items():
-            if not queue:
-                continue
-            msg = queue[0]
-            path = self._path_for(msg)
-            first = path[0]
-            if first.has_space():
-                queue.pop(0)
-                msg.injected_cycle = cycle
-                self.stats.injected += 1
-                self._paths[msg.msg_id] = path[1:]
-                first.push(msg, cycle)
+        if self._queued:
+            for node, queue in self._inject_queues.items():
+                if not queue:
+                    continue
+                msg = queue[0]
+                path = self._path_for(msg)
+                first = path[0]
+                if first.has_space():
+                    queue.pop(0)
+                    self._queued -= 1
+                    msg.injected_cycle = cycle
+                    self.stats.injected += 1
+                    self._paths[msg.msg_id] = path[1:]
+                    first.push(msg, cycle)
 
-        # Stages in reverse flow order so a message moves one stage/cycle.
-        stages: List[Link] = (
-            self._locals + self._downlinks + [self._hub] + self._uplinks
-        )
-        for link in stages:
-            link.step(cycle, self._forward)
+        # An empty link offers nothing, so skipping it is exact.  The
+        # check runs in the loop: an earlier stage may have just pushed
+        # into a later one.
+        forward = self._forward
+        for link in self._stages:
+            if link.queue:
+                link.step(cycle, forward)
 
     def _forward(self, msg: Message, cycle: int) -> bool:
         remaining = self._paths[msg.msg_id]
@@ -190,7 +201,11 @@ class SwitchedStarFabric(Fabric):
     # -- instrumentation --------------------------------------------------------
 
     def occupancy(self) -> int:
-        links = self._locals + self._uplinks + self._downlinks + [self._hub]
-        return sum(l.occupancy() for l in links) + sum(
-            len(q) for q in self._inject_queues.values()
-        )
+        return sum(l.occupancy() for l in self._stages) + self._queued
+
+    def messages_in_flight(self) -> List[Message]:
+        out: List[Message] = [entry[1] for link in self._stages
+                              for entry in link.queue]
+        for queue in self._inject_queues.values():
+            out.extend(queue)
+        return out

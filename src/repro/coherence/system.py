@@ -24,7 +24,15 @@ from repro.sim.engine import SimComponent
 
 
 class CoherentSystem(SimComponent):
-    """A complete coherent memory system over one fabric."""
+    """A complete coherent memory system over one fabric.
+
+    Each cycle steps the agents, then the fabric.  An agent is stepped
+    only when its step has work: a delay entry due by this cycle or a
+    message in its outbox.  A skipped agent just has its clock set to
+    the cycle, which is all its step would have done, so the result is
+    identical to stepping every agent.  This relies on the request,
+    home and memory nodes not overriding :meth:`ProtocolAgent.step`.
+    """
 
     def __init__(
         self,
@@ -91,7 +99,11 @@ class CoherentSystem(SimComponent):
 
     def step(self, cycle: int) -> None:
         for agent in self._agents:
-            agent.step(cycle)
+            delayed = agent._delayed
+            if (delayed and delayed[0][0] <= cycle) or agent._outbox._pending:
+                agent.step(cycle)
+            else:
+                agent.now = cycle
         self.fabric.step(cycle)
         self._cycle = cycle + 1
 

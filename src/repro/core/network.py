@@ -231,6 +231,10 @@ class MultiRingFabric(Fabric):
             out.extend(bridge.flits_in_flight())
         return out
 
+    def messages_in_flight(self) -> List[Message]:
+        """The message of every flit in :meth:`flits_in_flight`."""
+        return [flit.msg for flit in self.flits_in_flight()]
+
     def occupancy(self) -> int:
         """Flits inside the network — O(rings + stations + bridges).
 

@@ -10,6 +10,7 @@ from repro.baselines.buffered_router import (
     WEST,
     BufferedRouter,
 )
+from repro.baselines.mesh import BufferedMeshFabric, MeshConfig
 from repro.fabric.message import Message
 
 
@@ -94,3 +95,27 @@ def test_off_mesh_route_raises():
     router.accept(LOCAL, Message(src=0, dst=9), ready_cycle=0)
     with pytest.raises(RuntimeError, match="left the mesh"):
         router.step(1, dst_lookup=lambda m: (-1, 0))
+
+
+def test_mesh_steps_a_router_while_its_entry_is_not_ready():
+    """The mesh skips a router only when every input buffer is empty; an
+    entry still in the pipeline (``ready_cycle > cycle``) keeps it stepped."""
+    mesh = BufferedMeshFabric(MeshConfig(cols=2, rows=1,
+                                         placement={0: (0, 0), 1: (1, 0)}))
+    stepped = []
+    for xy, router in mesh.routers.items():
+        def record(cycle, lookup, xy=xy, inner=router.step):
+            stepped.append((cycle, xy))
+            inner(cycle, lookup)
+        router.step = record
+    delivered = []
+    mesh.attach(1, delivered.append)
+    assert mesh.try_inject(Message(src=0, dst=1))
+    for cycle in range(6):
+        mesh.step(cycle)
+    pipeline = mesh.config.router_pipeline
+    # Cycle 0: (0,0) forwards east; the entry waits in (1,0) until it is
+    # ready and then leaves on the local port.
+    assert [c for c, xy in stepped if xy == (0, 0)] == [0]
+    assert [c for c, xy in stepped if xy == (1, 0)] == list(range(pipeline + 1))
+    assert [msg.delivered_cycle for msg in delivered] == [pipeline]

@@ -51,7 +51,7 @@ def test_sweep_point_params_order_invariant():
 # -- runner ----------------------------------------------------------------
 
 
-def test_sequential_and_parallel_results_identical():
+def test_sequential_and_parallel_results_identical(start_method):
     sequential = run_sweep(echo_worker, POINTS, base_seed=5, workers=1)
     parallel = run_sweep(echo_worker, POINTS, base_seed=5, workers=3)
     assert sequential == parallel

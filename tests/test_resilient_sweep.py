@@ -13,8 +13,6 @@ value.
 """
 
 import json
-import multiprocessing
-import multiprocessing.forkserver
 import os
 import signal
 import subprocess
@@ -119,28 +117,10 @@ def test_crash_once_serial_oracle_matches(monkeypatch, tmp_path):
     assert health.retries == len(POINTS)
 
 
-@pytest.fixture
-def forkserver_start_method():
-    """Run the test's pools under ``forkserver``, then restore the default.
-
-    The fork server is started here, before the test sets any chaos
-    variable, so its workers can only learn about chaos from the job
-    payload, never from an environment inherited at server start.
-    """
-    if "forkserver" not in multiprocessing.get_all_start_methods():
-        pytest.skip("forkserver start method unavailable")
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("forkserver", force=True)
-    multiprocessing.forkserver.ensure_running()
-    try:
-        yield
-    finally:
-        multiprocessing.set_start_method(previous, force=True)
-
-
-def test_crash_once_retries_under_forkserver(monkeypatch, tmp_path,
-                                             forkserver_start_method):
-    """Chaos set after the fork server started still reaches the workers."""
+def test_crash_once_retries_under_start_method(monkeypatch, tmp_path,
+                                               start_method):
+    """Chaos reaches the workers under every start method, including a
+    fork server started before the chaos variable was set."""
     expected = baseline()
     chaos(monkeypatch, tmp_path, "crash-once")
     health = SweepHealth()
