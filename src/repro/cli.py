@@ -231,8 +231,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_MAX_FAILURES
     if args.reference:
         # The saturated-case floor is calibrated against the committed
-        # measurement budget; short --cycles overrides amortize the
-        # dense tier's materialize cost too poorly to judge it.
+        # measurement budget; short --cycles overrides time too little
+        # to judge it.
         if cycles >= bench.SMOKE_CYCLES:
             gate_failures = bench.saturated_speedup_failures(report)
             if gate_failures:
@@ -882,11 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also time the reference step, verify the "
                         "engine under test matches its stats, and gate "
                         "saturated cases on speedup >= 1.0")
-    p.add_argument("--engine", choices=["auto", "ref", "skip", "dense"],
-                   default="auto",
-                   help="stepping-engine mode to time (default: auto, "
-                        "the shipping selector; use ref/skip/dense for "
-                        "A/B runs)")
+    p.add_argument("--engine", choices=["ref", "skip"], default="skip",
+                   help="stepping-engine mode to time (default: skip, "
+                        "the shipping tier; ref times the reference walk)")
     p.add_argument("--json", metavar="FILE",
                    help="write the machine-readable report to FILE")
     p.add_argument("--baseline", metavar="FILE",

@@ -159,21 +159,13 @@ class MultiRingConfig:
     lanes_per_direction: int = 1
     #: Stepping-engine tier (see docs/PERFORMANCE.md):
     #:
-    #: - ``"ref"``   — reference walk, the semantic spec;
-    #: - ``"skip"``  — exact-skip ``step_fast`` (wins on sparse traffic);
-    #: - ``"dense"`` — struct-of-arrays vectorized tier
-    #:   (:mod:`repro.perf.dense`; wins on saturated traffic, falls back
-    #:   to ``skip`` when a ring is ineligible — bridges, escape slots,
-    #:   two-port stations, multi-lane directions — or pinned scalar by
-    #:   an attached trace recorder / invariant checker);
-    #: - ``"auto"``  — start on ``skip`` and switch between ``skip`` and
-    #:   ``dense`` per ring from measured slot occupancy, with
-    #:   hysteresis (cadence and thresholds are the constants in
-    #:   :mod:`repro.core.ring`).  All four tiers are cycle-for-cycle
-    #:   identical.
+    #: - ``"ref"``  — reference walk, the semantic spec;
+    #: - ``"skip"`` — exact-skip ``step_fast``: visits only stations with
+    #:   work, or every station of a busy lane with the same inlined
+    #:   body.  Cycle-for-cycle identical to ``"ref"``.
     #:
     #: Each ring reads this once, when it is built.
-    engine: str = "auto"
+    engine: str = "skip"
     #: Enable the reliable die-to-die link layer (CRC/ack-nak/replay) on
     #: every RBRG-L2 (:class:`repro.faults.link.LinkReliabilityConfig`).
     #: None keeps the baseline perfect-pipe link; installing a

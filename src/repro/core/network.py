@@ -179,10 +179,6 @@ class MultiRingFabric(Fabric):
             from repro.lint.invariants import FabricInvariantChecker
             checker = FabricInvariantChecker(self, **kwargs)
         self.invariant_checker = checker
-        # Probes read per-slot object state after every cycle; keep the
-        # rings on the scalar tiers so that state stays live.
-        for ring in self._ring_list:
-            ring.pin_scalar()
         return checker
 
     def attach_trace_recorder(self, recorder=None, kinds=None,
@@ -200,12 +196,6 @@ class MultiRingFabric(Fabric):
             from repro.obs.trace import TraceRecorder
             recorder = TraceRecorder(kinds=kinds, limit=limit)
         self.stats.trace = recorder
-        # Trace events are emitted by the scalar paths; pin the rings so
-        # the byte-identical fast/reference stream guarantee holds from
-        # the first traced cycle.  (Rings also self-demote on a
-        # recorder assigned directly to ``stats.trace``.)
-        for ring in self._ring_list:
-            ring.pin_scalar()
         return recorder
 
     def attach_fault_injector(self, injector):
@@ -256,7 +246,7 @@ class MultiRingFabric(Fabric):
     # -- stepping mode -----------------------------------------------------
 
     def engine_tiers(self) -> Dict[int, str]:
-        """Per-ring active tier (``ring_id -> "ref"|"skip"|"dense"``)."""
+        """Per-ring active tier (``ring_id -> "ref"|"skip"``)."""
         return {ring.spec.ring_id: ring.active_tier()
                 for ring in self._ring_list}
 

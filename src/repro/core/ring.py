@@ -15,10 +15,10 @@ Stepping has two interchangeable implementations:
   maintained occupancy indexes (:class:`SlotList`) to visit only stations
   that can do work this cycle: stations with queued injections, stations
   whose slot carries a flit that exits there, and stations owed an I-tag
-  release.  Every skipped visit is a provable no-op, so the two paths are
-  cycle-for-cycle identical; ``tests/test_fastpath_equivalence.py`` drives
-  random traffic through both and asserts equal :class:`FabricStats` and
-  delivery logs.
+  release (or, when most stations have work, all of them).  Every
+  skipped visit is a provable no-op, so the two paths are cycle-for-cycle
+  identical; ``tests/test_fastpath_equivalence.py`` drives random traffic
+  through both and asserts equal :class:`FabricStats` and delivery logs.
 """
 
 from __future__ import annotations
@@ -33,14 +33,16 @@ from repro.core.station import CrossStation, Port
 from repro.fabric.stats import FabricStats
 from repro.obs.trace import port_key_str
 
-#: Cycles between a ring's tier checks in ``"auto"`` and ``"dense"`` mode.
-ENGINE_CHECK_EVERY = 64
-#: ``"auto"`` promotes a ring to the dense tier when its slot occupancy
-#: fraction reaches this level ...
-DENSE_ENTER_OCCUPANCY = 0.25
-#: ... and demotes it back to ``skip`` at or below this level (hysteresis
-#: band so occupancy noise does not thrash materialization).
-DENSE_EXIT_OCCUPANCY = 0.10
+def lanes_busy(active: int, nstations: int, bidirectional: bool) -> bool:
+    """Whether :meth:`Ring.step_fast` walks every station of each lane.
+
+    ``active`` stations have queued injections.  A lane counts as busy
+    when at least half the stations have work for it; on a full ring
+    the queued heads split between the two directions, so that takes
+    twice the active stations.  Either answer steps the ring exactly;
+    this only picks the cheaper walk.
+    """
+    return active * (1 if bidirectional else 2) >= nstations
 
 
 class SlotList(list):
@@ -228,23 +230,12 @@ class Ring:
         #: O(stations).
         self.pending_stations: dict = {}
         mode = config.engine
-        if mode not in ("auto", "ref", "skip", "dense"):
-            raise ValueError(
-                f"unknown engine {mode!r}; pick auto, ref, skip, or dense")
-        #: Stepping tier policy ("auto"|"ref"|"skip"|"dense"); see
-        #: ``MultiRingConfig.engine`` and docs/PERFORMANCE.md.
-        self.engine_mode = mode
-        #: Use a fast step when not running dense (identical semantics,
-        #: skips no-op station visits).  Cleared by ``engine="ref"`` so
-        #: equivalence tests can drive the reference step.
-        self.fast_path = mode != "ref"
-        #: Active :class:`repro.perf.dense.DenseRingEngine`, or None
-        #: while a scalar step runs.
-        self._dense = None
-        #: Cycle of the next tier check; never once the policy is settled
-        #: (``ref``/``skip`` mode, a structural refusal, or a scalar pin).
-        self._next_engine_check = (
-            0 if mode in ("auto", "dense") else float("inf"))
+        if mode not in ("ref", "skip"):
+            raise ValueError(f"unknown engine {mode!r}; pick ref or skip")
+        #: Use the exact-skip fast step (identical semantics, skips no-op
+        #: station visits).  ``engine="ref"`` clears it so equivalence
+        #: tests can drive the reference step.
+        self.fast_path = mode == "skip"
 
     @property
     def stations(self) -> List[CrossStation]:
@@ -265,80 +256,18 @@ class Ring:
     def step(self, cycle: int) -> None:
         """One clock: every station ejects/injects on every lane.
 
-        Dispatches to the active tier — the dense struct-of-arrays
-        engine when one is materialized, else the exact-skip fast step,
-        else the reference walk.  All tiers are cycle-for-cycle
-        identical (``tests/test_engine_tiers.py``), so tier choice is
-        pure policy: ``engine_mode`` plus, in auto mode, the periodic
-        occupancy check.
+        Runs the exact-skip fast step, or the reference walk under
+        ``engine="ref"``; the two are cycle-for-cycle identical
+        (``tests/test_engine_tiers.py``).
         """
-        if cycle >= self._next_engine_check:
-            self._engine_check(cycle)
-        dense = self._dense
-        if dense is not None:
-            if self.stats.trace.enabled:
-                # A recorder attached mid-run: demote before stepping so
-                # every traced cycle runs a scalar (event-emitting) path.
-                self._exit_dense()
-            else:
-                dense.step(cycle)
-                return
         if self.fast_path:
             self.step_fast(cycle)
         else:
             self.step_reference(cycle)
 
-    # -- engine-tier policy ------------------------------------------------
-
-    def pin_scalar(self) -> None:
-        """Keep this ring off the dense tier for good.
-
-        Instrumentation that reads per-slot object state every cycle
-        (trace recorder, invariant checker) calls this, so scalar-path
-        guarantees (byte-identical trace streams, probe visibility) stay
-        intact.
-        """
-        self._next_engine_check = float("inf")
-        if self._dense is not None:
-            self._exit_dense()
-
     def active_tier(self) -> str:
-        """The tier the next cycle will run ("ref", "skip", or "dense")."""
-        if self._dense is not None:
-            return "dense"
+        """The tier this ring steps with ("ref" or "skip")."""
         return "skip" if self.fast_path else "ref"
-
-    def _engine_check(self, cycle: int) -> None:
-        """Periodic tier decision (auto/dense modes only)."""
-        self._next_engine_check = cycle + ENGINE_CHECK_EVERY
-        if self.stats.trace.enabled:
-            # Never promote while traced; :meth:`step` demotes.
-            return
-        if self.engine_mode == "dense":
-            if self._dense is None:
-                self._enter_dense(cycle)
-            return
-        slots = self.spec.nstops * len(self.lanes)
-        occupancy = self.occupancy() / slots if slots else 0.0
-        if self._dense is None:
-            if occupancy >= DENSE_ENTER_OCCUPANCY:
-                self._enter_dense(cycle)
-        elif occupancy <= DENSE_EXIT_OCCUPANCY:
-            self._exit_dense()
-
-    def _enter_dense(self, cycle: int) -> None:
-        from repro.perf.dense import DenseRingEngine, dense_ineligible_reason
-        if dense_ineligible_reason(self) is not None:
-            # The refusal is structural and adding ports never lifts it,
-            # so stay on the skip tier for good instead of re-checking.
-            self._next_engine_check = float("inf")
-            return
-        self._dense = DenseRingEngine(self, cycle)
-
-    def _exit_dense(self) -> None:
-        dense = self._dense
-        self._dense = None
-        dense.dematerialize()
 
     def step_reference(self, cycle: int) -> None:
         """Reference semantics: walk every lane × station each cycle.
@@ -369,10 +298,11 @@ class Ring:
 
         Everything else is a no-op in the reference walk, so skipping it
         cannot change state.  Within one lane pass, stations touch only
-        their own slot/ports, so visiting a subset preserves per-cycle
-        outcomes exactly.  Head directions are re-read per lane (not
-        cached across lanes) because a SWAP exchange on an earlier lane
-        can expose a new queue head with a different preference.
+        their own slot/ports, so visiting a subset — or, on a busy lane,
+        every station — preserves per-cycle outcomes exactly.  Head
+        directions are re-read per lane (not cached across lanes)
+        because a SWAP exchange on an earlier lane can expose a new
+        queue head with a different preference.
 
         The station visit itself is :meth:`CrossStation.process_lane`
         inlined — same statements, same order — with the per-lane
@@ -419,6 +349,11 @@ class Ring:
                     del pending[st]
 
         get_station = self._stations.get
+        # A busy lane walks every station in creation order: building
+        # its visit list would cost more than the no-op visits it saves.
+        stations = self._station_list
+        busy = bool(any_active) and lanes_busy(
+            len(any_active), len(stations), bidi)
         for lane in self.lanes:
             d = lane.direction
             flits = lane.flits
@@ -434,49 +369,52 @@ class Ring:
             occ_discard = occupied.discard
             fbuckets = flits.buckets
 
-            # Visit list: direction-matched active stations (in station
-            # creation order, like the reference walk) ...
-            visit: List[CrossStation] = []
-            for st in any_active:
-                for port in st.ports:
-                    q = port.inject_queue
-                    if q:
-                        head = q[0]
-                        want = head.dir_pref
-                        if want is None:
-                            want = ring_direction(
-                                nstops, st.stop, head.exit_stop, bidi)
-                            head.dir_pref = want
-                        if want == d:
-                            visit.append(st)
-                            break
-            # ... plus stations owed an ejection (from the exit-residue
-            # bucket: O(ejections), no occupied-slot scan) or an I-tag
-            # release (tags are rare; scanning the tag index is enough).
-            # sorted() pins their order so fast-path runs are
-            # bit-identical everywhere (within a lane pass the order is
-            # provably irrelevant).
-            cur_bucket = flits.buckets[cycle % n]
-            if cur_bucket or tagged:
-                extra: List[int] = []
-                for idx in cur_bucket:
-                    stop = idx + dc
-                    if stop >= n:
-                        stop -= n
-                    extra.append(stop)
-                for idx in tagged:
-                    stop = idx + dc
-                    if stop >= n:
-                        stop -= n
-                    if itags[idx].station.stop == stop:
-                        extra.append(stop)
-                if extra:
-                    seen = {st.stop for st in visit}
-                    for stop in sorted(set(extra)):
-                        if stop not in seen:
-                            st = get_station(stop)
-                            if st is not None:
+            cur_bucket = fbuckets[cycle % n]
+            if busy:
+                visit = stations
+            else:
+                # Visit list: direction-matched active stations (in
+                # pending-registry order) ...
+                visit = []
+                for st in any_active:
+                    for port in st.ports:
+                        q = port.inject_queue
+                        if q:
+                            head = q[0]
+                            want = head.dir_pref
+                            if want is None:
+                                want = ring_direction(
+                                    nstops, st.stop, head.exit_stop, bidi)
+                                head.dir_pref = want
+                            if want == d:
                                 visit.append(st)
+                                break
+                # ... plus stations owed an ejection (from the exit-
+                # residue bucket: O(ejections), no occupied-slot scan) or
+                # an I-tag release (tags are rare; scanning the tag index
+                # is enough).  sorted() pins their order so fast-path
+                # runs are bit-identical everywhere (within a lane pass
+                # the order is provably irrelevant).
+                if cur_bucket or tagged:
+                    extra: List[int] = []
+                    for idx in cur_bucket:
+                        stop = idx + dc
+                        if stop >= n:
+                            stop -= n
+                        extra.append(stop)
+                    for idx in tagged:
+                        stop = idx + dc
+                        if stop >= n:
+                            stop -= n
+                        if itags[idx].station.stop == stop:
+                            extra.append(stop)
+                    if extra:
+                        seen = {st.stop for st in visit}
+                        for stop in sorted(set(extra)):
+                            if stop not in seen:
+                                st = get_station(stop)
+                                if st is not None:
+                                    visit.append(st)
 
             for st in visit:
                 stop = st.stop
@@ -642,10 +580,6 @@ class Ring:
         anchored, so the stop-frame view alone is not shift-invariant)
         and 0 otherwise.
         """
-        if self._dense is not None:
-            # Snapshots read per-slot object state; fold the array world
-            # back first (auto mode re-promotes at its next check).
-            self._exit_dense()
         nstops = self.spec.nstops
         phase = cycle % nstops if self.config.escape_slot_period > 0 else 0
         return (
@@ -658,17 +592,12 @@ class Ring:
 
     def occupancy(self) -> int:
         """Flits on this ring's lanes — O(lanes) via maintained counters."""
-        dense = self._dense
-        if dense is not None:
-            return dense.occupancy()
         total = 0
         for lane in self.lanes:
             total += len(lane.flits.occupied)
         return total
 
     def flits_in_flight(self) -> List[Flit]:
-        if self._dense is not None:
-            self._exit_dense()
         out: List[Flit] = []
         for lane in self.lanes:
             out.extend(lane.flits_in_flight())

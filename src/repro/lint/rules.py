@@ -6,8 +6,8 @@ Generic linters do not know what breaks a simulator.  These rules do:
   paths.  Every random stream must come from
   :func:`repro.sim.rng.make_rng` so a run is a pure function of its
   seed; ``time.time()`` in a model silently couples results to the host.
-  ``numpy`` itself is permitted (the dense stepping tier is built on
-  it) but ``numpy.random`` is banned in every spelling — ``import
+  ``numpy`` itself is permitted (deterministic array math is fine in
+  a model) but ``numpy.random`` is banned in every spelling — ``import
   numpy.random``, ``from numpy import random``, and attribute use like
   ``np.random.default_rng()`` through any numpy alias — because a
   numpy-seeded stream bypasses ``repro.sim.rng`` exactly like the
@@ -96,13 +96,6 @@ ORDER_SENSITIVE_DIRS: Tuple[str, ...] = (
     "repro/analyze/",
 )
 
-#: Individual files outside those packages that still feed simulation
-#: state.  The dense stepping tier lives under the perf harness but
-#: mirrors ring state bit-for-bit; one set-ordered loop there breaks
-#: cycle-identical equivalence with the reference walk, so it is held
-#: to the unordered-iteration rule like the core packages.
-ORDER_SENSITIVE_FILES: Tuple[str, ...] = ("repro/perf/dense.py",)
-
 #: Modules whose import outside repro/perf/ the parallel-seeding rule
 #: flags.
 _PARALLEL_MODULES = {"multiprocessing", "concurrent.futures"}
@@ -113,9 +106,9 @@ _SET_METHODS = {"union", "intersection", "difference",
                 "symmetric_difference"}
 
 #: Modules whose import anywhere in a sim path is nondeterminism.
-#: ``numpy`` itself is deliberately absent — deterministic array math is
-#: how the dense stepping tier earns its keep — but ``numpy.random``
-#: (in any spelling; see the visitor) stays banned.
+#: ``numpy`` itself is deliberately absent — deterministic array math
+#: cannot desynchronize a run — but ``numpy.random`` (in any spelling;
+#: see the visitor) stays banned.
 _BANNED_MODULES = {"random", "secrets", "numpy.random"}
 
 #: Dotted call suffixes that read the wall clock or entropy pool.
@@ -533,9 +526,7 @@ def _perf_exempt(posix_path: str) -> bool:
 
 def _order_sensitive(posix_path: str) -> bool:
     """True for files inside the order-sensitive simulation packages."""
-    return (any(frag in posix_path for frag in ORDER_SENSITIVE_DIRS)
-            or any(posix_path.endswith(suffix)
-                   for suffix in ORDER_SENSITIVE_FILES))
+    return any(frag in posix_path for frag in ORDER_SENSITIVE_DIRS)
 
 
 def lint_source(

@@ -308,11 +308,11 @@ def validate_config(
             "bad-threshold",
             f"escape_slot_period is {config.escape_slot_period}; must be "
             ">= 0 (0 disables escape slots)", path))
-    if config.engine not in ("auto", "ref", "skip", "dense"):
+    if config.engine not in ("ref", "skip"):
         findings.append(_err(
             "bad-engine",
-            f"engine is {config.engine!r}; must be one of "
-            "auto/ref/skip/dense (see docs/PERFORMANCE.md)", path))
+            f"engine is {config.engine!r}; must be ref or skip "
+            "(see docs/PERFORMANCE.md)", path))
     if has_l2_bridges:
         if config.enable_swap:
             if queues.swap_detect_threshold < 1:

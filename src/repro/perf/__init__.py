@@ -21,9 +21,6 @@ parallel-seeding rules.
   stand in for stats dicts in partial sweep results.
 - :mod:`repro.perf.bench` — the ``repro-noc bench`` smoke suite and the
   ``BENCH_fabric.json`` trajectory format.
-- :mod:`repro.perf.dense` — struct-of-arrays dense ring-stepping tier
-  and the ``"auto"`` engine selector (cycle-identical to the reference
-  walk).
 """
 
 from repro.perf.cache import MISS, ResultCache

@@ -23,7 +23,10 @@ Methodology — the rules that keep the numbers comparable:
   harness allocations landed at arbitrary points of the timed loop;
   a deterministic workload deserves a deterministic timer.
 - **Best-of-N timing** (default N=3): wall-clock minimum is the robust
-  estimator for a deterministic workload on a noisy machine.
+  estimator for a deterministic workload on a noisy machine.  With
+  ``--reference`` the engine under test and the reference walk run in
+  alternating repeats (test, ref, test, ref, ...), so host drift during
+  a case falls on both sides of ``speedup_vs_reference``.
 - **Fixed seeds, explicit msg ids**: every run of a case simulates the
   identical cycle-for-cycle execution, and the report records the run's
   :class:`~repro.fabric.stats.FabricStats` counters as a fingerprint —
@@ -32,20 +35,19 @@ Methodology — the rules that keep the numbers comparable:
 - **Calibration**: a fixed arithmetic loop is timed alongside the suite
   and throughput is also reported normalized by that score, so CI can
   compare runs across differently-provisioned machines.
-- **Engine attribution**: every result records which stepping-engine
-  tier actually ran (``engine`` — resolved from the rings after the
-  run, so ``"auto"`` reports the tier the selector settled on) next to
-  the requested mode (``engine_mode``).  The committed trajectory
-  therefore shows *which* engine produced each number.
+- **Engine attribution**: every result records the stepping tier its
+  rings ran (``engine``) next to the requested mode (``engine_mode``),
+  so the committed trajectory shows *which* engine produced each
+  number.
 
 The streaming headline, ``ring_full_saturated``, holds a 128-stop full
 ring at capacity from 8 producer stations while most stations have no
-local work — the regime the exact-skip tier is built for.  The dense
-headlines, ``ring_uniform_saturated`` / ``ring_half_saturated``, are
-uniform all-to-all oversubscription on 320-stop rings where every
-station has work every cycle — the regime the SoA dense tier
-(:mod:`repro.perf.dense`) is built for, and where exact-skip used to
-*lose* to the reference walk.
+local work — the regime the exact-skip tier is built for.  The
+oversubscribed cases (``ring_uniform_saturated``/``ring_half_saturated``
+on 320 stops, ``ring_dense32_*`` on 32) keep nearly every station busy
+every cycle: there ``skip`` walks every station of a busy lane with its
+inlined visit body, and the speedup gate checks that this never loses
+to the reference walk.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ REPORT_SCHEMA = 1
 class BenchCase:
     """One timed workload: a fabric factory plus a pre-generated plan.
 
-    ``build`` takes the stepping-engine mode (``"auto"``/``"ref"``/
-    ``"skip"``/``"dense"``, see ``MultiRingConfig.engine``) so one case
-    definition serves A/B runs across tiers.  ``saturated`` marks cases
+    ``build`` takes the stepping-engine mode (``"ref"``/``"skip"``, see
+    ``MultiRingConfig.engine``) so one case definition serves A/B runs
+    across tiers.  ``saturated`` marks cases
     whose plan oversubscribes the fabric; the bench gate
     (:func:`saturated_speedup_failures`) requires every saturated case
     to at least break even against the reference walk.
@@ -152,10 +154,10 @@ def smoke_cases(cycles: int = SMOKE_CYCLES) -> List[BenchCase]:
         saturated=True,
     ))
 
-    # Dense-regime headlines: every station has work essentially every
-    # cycle, so exact-skip bookkeeping buys nothing and the SoA dense
-    # tier carries the load.  320 stops is deep enough into the dense
-    # regime that the reference walk's per-station cost dominates.
+    # Oversubscribed headlines: every station has work essentially every
+    # cycle, so exact-skip has nothing to skip and must win on its
+    # inlined visit body alone.  320 stops makes the per-station cost
+    # dominate the timed region.
     nodes320 = list(range(320))
     cases.append(BenchCase(
         name="ring_uniform_saturated",
@@ -177,14 +179,13 @@ def smoke_cases(cycles: int = SMOKE_CYCLES) -> List[BenchCase]:
         saturated=True,
     ))
 
-    # Small dense-regime points: oversubscribed 32-stop rings sit near
-    # the skip/dense crossover, keeping the selector's switch decision
-    # (not just its asymptotic win) on the committed trajectory.
+    # Small oversubscribed points: on 32-stop rings the fixed per-cycle
+    # costs weigh most against the per-station saving.
     nodes32 = list(range(32))
     cases.append(BenchCase(
         name="ring_dense32_full",
         description="uniform all-to-all oversubscription, 32-stop full "
-                    "ring (dense regime near the tier crossover)",
+                    "ring (every station active every cycle)",
         cycles=cycles,
         build=lambda engine: _single_ring(32, True, engine),
         plan=_uniform_plan(nodes32, cycles, per_cycle=8, seed=47),
@@ -194,7 +195,7 @@ def smoke_cases(cycles: int = SMOKE_CYCLES) -> List[BenchCase]:
     cases.append(BenchCase(
         name="ring_dense32_half",
         description="uniform all-to-all oversubscription, 32-stop half "
-                    "ring (unidirectional, near the tier crossover)",
+                    "ring (unidirectional)",
         cycles=cycles,
         build=lambda engine: _single_ring(32, False, engine),
         plan=_uniform_plan(nodes32, cycles, per_cycle=8, seed=48),
@@ -246,9 +247,8 @@ def smoke_cases(cycles: int = SMOKE_CYCLES) -> List[BenchCase]:
         cycles=pair_cycles,
         build=build_pair,
         plan=pair_plan,
-        # Saturated traffic, but bridge ports pin the rings ineligible
-        # for the dense tier, so this case tracks the scalar paths and
-        # is gated by the normalized trajectory, not the speedup floor.
+        # Saturated traffic, gated by the normalized trajectory, not
+        # the speedup floor.
         saturated=False,
     ))
 
@@ -274,57 +274,73 @@ def _resolved_engine(fabric: MultiRingFabric) -> str:
     return "+".join(tiers) if tiers else "ref"
 
 
-def run_case(case: BenchCase, engine: str = "auto",
-             repeats: int = 3) -> Dict[str, Any]:
-    """Best-of-``repeats`` timing of one case; returns a result record.
+def _timed_run(case: BenchCase,
+               engine: str) -> Tuple[float, MultiRingFabric]:
+    """One timed run of ``case`` on a fresh fabric: (seconds, fabric).
 
-    Messages are freshly constructed before each repeat (the fabric
-    mutates them) with explicit ``msg_id``\\ s so the simulated execution
-    — and therefore the stats fingerprint — is identical every repeat.
-    The route cache is warmed and GC parked per the module methodology;
-    both apply identically to every engine tier.
+    Messages are freshly constructed (the fabric mutates them) with
+    explicit ``msg_id``\\ s so the simulated execution — and therefore
+    the stats fingerprint — is identical every run.  The route cache is
+    warmed and GC parked per the module methodology; both apply
+    identically to every engine tier.
     """
     plan = case.plan
-    best: Optional[float] = None
-    fabric: Optional[MultiRingFabric] = None
     n = len(plan)
+    fabric = case.build(engine)
+    if fabric.stats.trace.enabled:
+        raise RuntimeError(
+            f"bench case {case.name}: tracing must stay disabled — "
+            "timings gate the tracing-off overhead of the nil-object "
+            "hooks, not the recorder itself")
+    msgs = [Message(src=src, dst=dst, kind=kind, created_cycle=cycle,
+                    msg_id=mid)
+            for mid, (cycle, src, dst, kind) in enumerate(plan)]
+    route = fabric.router.route
+    for src, dst in {(entry[1], entry[2]) for entry in plan}:
+        route(src, dst)
+    try_inject = fabric.try_inject
+    step = fabric.step
+    i = 0
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for cycle in range(case.cycles):
+            while i < n and plan[i][0] == cycle:
+                try_inject(msgs[i])
+                i += 1
+            step(cycle)
+        elapsed = time.perf_counter() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return elapsed, fabric
+
+
+def run_case(case: BenchCase, engines: Tuple[str, ...] = ("skip",),
+             repeats: int = 3) -> Dict[str, Dict[str, Any]]:
+    """Best-of-``repeats`` timing of ``case`` under each of ``engines``.
+
+    Each repeat times every engine once, in order, so the engines
+    alternate (a, b, a, b, ...) and slow host phases hit all of them
+    alike.  Returns one result record per engine.
+    """
+    best: Dict[str, float] = {}
+    fabrics: Dict[str, MultiRingFabric] = {}
     for _ in range(max(repeats, 1)):
-        fabric = case.build(engine)
-        if fabric.stats.trace.enabled:
-            raise RuntimeError(
-                f"bench case {case.name}: tracing must stay disabled — "
-                "timings gate the tracing-off overhead of the nil-object "
-                "hooks, not the recorder itself")
-        msgs = [Message(src=src, dst=dst, kind=kind, created_cycle=cycle,
-                        msg_id=mid)
-                for mid, (cycle, src, dst, kind) in enumerate(plan)]
-        route = fabric.router.route
-        for src, dst in {(entry[1], entry[2]) for entry in plan}:
-            route(src, dst)
-        try_inject = fabric.try_inject
-        step = fabric.step
-        i = 0
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for cycle in range(case.cycles):
-                while i < n and plan[i][0] == cycle:
-                    try_inject(msgs[i])
-                    i += 1
-                step(cycle)
-            elapsed = time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        best = elapsed if best is None else min(best, elapsed)
-    assert fabric is not None and best is not None
+        for engine in engines:
+            elapsed, fabrics[engine] = _timed_run(case, engine)
+            best[engine] = min(best.get(engine, elapsed), elapsed)
     return {
-        "cycles_per_sec": case.cycles / best if best > 0 else float("inf"),
-        "seconds": best,
-        "engine": _resolved_engine(fabric),
-        "stats": _stats_fingerprint(fabric.stats),
+        engine: {
+            "cycles_per_sec": (case.cycles / best[engine]
+                               if best[engine] > 0 else float("inf")),
+            "seconds": best[engine],
+            "engine": _resolved_engine(fabrics[engine]),
+            "stats": _stats_fingerprint(fabrics[engine].stats),
+        }
+        for engine in engines
     }
 
 
@@ -370,7 +386,9 @@ def aggregate_normalized(results: List[Dict[str, Any]]) -> Optional[float]:
 def _run_suite_case(case: BenchCase, engine: str, repeats: int,
                     reference: bool, score: float) -> Dict[str, Any]:
     """Time one suite case (plus optional reference A/B) into an entry."""
-    main_run = run_case(case, engine=engine, repeats=repeats)
+    runs = run_case(case, (engine, "ref") if reference else (engine,),
+                    repeats)
+    main_run = runs[engine]
     entry: Dict[str, Any] = {
         "name": case.name,
         "description": case.description,
@@ -384,7 +402,7 @@ def _run_suite_case(case: BenchCase, engine: str, repeats: int,
         "stats": main_run["stats"],
     }
     if reference:
-        ref_run = run_case(case, engine="ref", repeats=repeats)
+        ref_run = runs["ref"]
         entry["reference_cycles_per_sec"] = round(
             ref_run["cycles_per_sec"], 1)
         entry["speedup_vs_reference"] = round(
@@ -402,11 +420,11 @@ def _run_suite_case(case: BenchCase, engine: str, repeats: int,
 
 def run_smoke_suite(repeats: int = 3, reference: bool = False,
                     cycles: int = SMOKE_CYCLES,
-                    engine: str = "auto") -> Dict[str, Any]:
+                    engine: str = "skip") -> Dict[str, Any]:
     """Run the whole suite; returns the ``BENCH_fabric.json`` payload.
 
     ``engine`` selects the stepping-engine mode under test (the
-    committed trajectory uses the shipping default, ``"auto"``; the CLI
+    committed trajectory uses the shipping default, ``"skip"``; the CLI
     exposes ``--engine`` for A/B runs).  With ``reference=True`` every
     case is also timed under the reference walk and the two stats
     fingerprints are required to match — the bench doubles as an
@@ -479,12 +497,12 @@ def run_smoke_suite(repeats: int = 3, reference: bool = False,
 
 def saturated_speedup_failures(report: Dict[str, Any],
                                floor: float = 1.0) -> List[str]:
-    """The dense-regime bench gate: saturated cases must not lose.
+    """The saturated-case bench gate: saturated cases must not lose.
 
     Returns a failure string for every saturated, reference-timed case
     whose ``speedup_vs_reference`` is below ``floor``.  This closes the
     blind spot the normalized-regression gate had: a fast path that was
-    *consistently* slower than the reference walk on dense traffic
+    *consistently* slower than the reference walk on saturated traffic
     regressed nothing release-over-release and shipped silently.
     Requires a report produced with ``reference=True``; cases without a
     reference timing are skipped (the normalized gate still covers
@@ -503,8 +521,8 @@ def saturated_speedup_failures(report: Dict[str, Any],
                 f"{entry['name']}: saturated case ran at "
                 f"{speedup:.2f}x the reference walk "
                 f"(engine={entry.get('engine', '?')}, floor "
-                f"{floor:.2f}x) — the fast path is losing on the dense "
-                "regime")
+                f"{floor:.2f}x) — the fast path is losing on "
+                "saturated traffic")
     return failures
 
 
@@ -564,7 +582,7 @@ def format_report(report: Dict[str, Any]) -> str:
     """Terminal-friendly rendering of a bench report."""
     lines = [
         f"fabric bench (suite={report['suite']}, engine="
-        f"{report.get('engine_mode', 'auto')}, repeats="
+        f"{report.get('engine_mode', 'skip')}, repeats="
         f"{report['repeats']}, calibration="
         f"{report['calibration_score']:,.0f} it/s)",
     ]

@@ -102,7 +102,7 @@ def test_ring_zero_load_latency_is_a_lower_bound(n_nodes, bidirectional,
     dst = nodes[pair[1] % n_nodes]
     if src == dst:
         dst = nodes[(pair[1] + 1) % n_nodes]
-    config = MultiRingConfig(engine="auto" if fast else "ref")
+    config = MultiRingConfig(engine="skip" if fast else "ref")
     assert_latency_lower_bound(topo, config, src, dst)
 
 
@@ -112,7 +112,7 @@ def test_ring_zero_load_latency_is_a_lower_bound(n_nodes, bidirectional,
 def test_ring_bandwidth_ceiling_is_an_upper_bound(n_nodes, bidirectional,
                                                   fast, seed):
     topo, _ = single_ring_topology(n_nodes, bidirectional=bidirectional)
-    config = MultiRingConfig(engine="auto" if fast else "ref")
+    config = MultiRingConfig(engine="skip" if fast else "ref")
     assert_bandwidth_upper_bound(topo, config, seed)
 
 
@@ -128,7 +128,7 @@ def test_tiny_pair_zero_load_latency_is_a_lower_bound(
                                    nodes_per_ring=min(2, nstops - 1),
                                    bidirectional=bidirectional,
                                    link_latency=link_latency)
-    config = MultiRingConfig(engine="auto" if fast else "ref")
+    config = MultiRingConfig(engine="skip" if fast else "ref")
     # Cross-chiplet both ways plus one same-ring pair when it exists.
     assert_latency_lower_bound(topo, config, ring0[0], ring1[-1])
     assert_latency_lower_bound(topo, config, ring1[0], ring0[-1])
@@ -140,7 +140,7 @@ def test_tiny_pair_zero_load_latency_is_a_lower_bound(
 @given(fast=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_tiny_pair_bandwidth_ceiling_is_an_upper_bound(fast, seed):
     topo, _, _ = tiny_pair()
-    config = MultiRingConfig(engine="auto" if fast else "ref")
+    config = MultiRingConfig(engine="skip" if fast else "ref")
     assert_bandwidth_upper_bound(topo, config, seed)
 
 
@@ -158,7 +158,7 @@ def server_topology():
 @pytest.mark.parametrize("fast", [True, False],
                          ids=["fast-path", "reference"])
 def test_server_zero_load_latency_is_a_lower_bound(server_topology, fast):
-    config = MultiRingConfig(engine="auto" if fast else "ref")
+    config = MultiRingConfig(engine="skip" if fast else "ref")
     nodes = _nodes(server_topology)
     # The extreme node-id pair crosses the package; spot-check it plus
     # a same-die neighbour pair (exhaustive all-pairs is a CI budget
@@ -172,6 +172,6 @@ def test_server_zero_load_latency_is_a_lower_bound(server_topology, fast):
 @pytest.mark.parametrize("fast", [True, False],
                          ids=["fast-path", "reference"])
 def test_server_bandwidth_ceiling_is_an_upper_bound(server_topology, fast):
-    config = MultiRingConfig(engine="auto" if fast else "ref")
+    config = MultiRingConfig(engine="skip" if fast else "ref")
     assert_bandwidth_upper_bound(server_topology, config,
                                  seed=7, cycles=150, per_cycle=16)

@@ -1,12 +1,14 @@
-"""Cross-tier stepping equivalence: ref / skip / dense / auto.
+"""Cross-tier stepping equivalence: ref / skip.
 
-The dense SoA tier (:mod:`repro.perf.dense`) and the ``"auto"``
-selector only earn their speedups if they are *invisible* to every
-observable: cycle-identical :class:`~repro.fabric.stats.FabricStats`
-(including ordered latency samples), byte-identical obs JSONL streams
-where tracing is allowed, and exact materialize/dematerialize
-round-trips when tiers switch mid-run.  These tests drive the same
-pre-generated plans through every tier and compare.
+The exact-skip tier (``Ring.step_fast``) only earns its speedup if it is
+*invisible* to every observable: cycle-identical
+:class:`~repro.fabric.stats.FabricStats` (including ordered latency
+samples) and byte-identical obs JSONL streams.  It picks, per cycle,
+between two walks — a visit list of the stations with work, or every
+station of a busy lane (:func:`repro.core.ring.lanes_busy`) — so these
+tests drive the same pre-generated plans through the reference walk and
+through ``skip`` with the choice left alone, forced busy and forced
+sparse, and compare.
 """
 
 import pytest
@@ -14,36 +16,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.ring as ring_module
-import repro.perf.dense as dense_module
 from repro.core.config import MultiRingConfig
 from repro.core.network import MultiRingFabric
-from repro.core.topology import single_ring_topology
-from repro.fabric.message import Message, MessageKind
+from repro.core.topology import chiplet_pair, single_ring_topology
+from repro.fabric.message import MessageKind
 from repro.obs.export import events_to_jsonl
-from repro.perf.dense import dense_ineligible_reason, numpy_available
+from repro.params import QueueParams
 from repro.sim.rng import make_rng
+from tests.test_fastpath_equivalence import run_plan, uniform_plan
 
-ENGINES = ["ref", "skip", "dense", "auto"]
+ENGINES = ["ref", "skip"]
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="dense tier requires numpy")
-
-
-def uniform_plan(nodes, cycles, per_cycle, seed):
-    rng = make_rng(seed)
-    plan = []
-    for cycle in range(cycles):
-        for _ in range(per_cycle):
-            src = rng.choice(nodes)
-            dst = rng.choice(nodes)
-            if src != dst:
-                plan.append((cycle, src, dst))
-    return plan
+#: ``lanes_busy`` overrides: every lane busy (walk every station), and
+#: no lane busy (visit lists only).
+WALKS = {
+    "busy": lambda active, nstations, bidirectional: True,
+    "sparse": lambda active, nstations, bidirectional: False,
+}
 
 
 def crossover_plan(nodes, seed):
-    """Bursty load that drags ``auto`` back and forth across the
-    occupancy thresholds: light -> saturated -> idle -> saturated."""
+    """Bursty load that crosses the busy-lane rule both ways:
+    light -> saturated -> idle -> saturated."""
     plan = []
     plan += uniform_plan(nodes, 200, 1, seed)
     plan += [(c + 200, s, d) for c, s, d in
@@ -51,18 +45,6 @@ def crossover_plan(nodes, seed):
     plan += [(c + 650, s, d) for c, s, d in
              uniform_plan(nodes, 250, 8, seed + 2)]
     return plan
-
-
-def run_plan(fabric, plan, cycles, kind=MessageKind.REQUEST):
-    i, n = 0, len(plan)
-    for cycle in range(cycles):
-        while i < n and plan[i][0] == cycle:
-            _, src, dst = plan[i]
-            fabric.try_inject(Message(src=src, dst=dst, kind=kind,
-                                      created_cycle=cycle, msg_id=i))
-            i += 1
-        fabric.step(cycle)
-    return fabric.stats
 
 
 def make_ring(engine, nstops=16, bidirectional=True, **config_kwargs):
@@ -89,10 +71,9 @@ def assert_tiers_identical(stats_by_engine):
             f"{engine}={stats}\nref={ref}")
 
 
-# -- cycle-identical FabricStats across all four tiers --------------------
+# -- cycle-identical FabricStats across the tiers -------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("bidirectional", [True, False],
                          ids=["full-ring", "half-ring"])
 @pytest.mark.parametrize("load", ["light", "saturated", "crossover"])
@@ -110,11 +91,9 @@ def test_all_tiers_identical(bidirectional, load):
 
 
 def _tight_itag_queues():
-    from repro.params import QueueParams
     return QueueParams(itag_threshold=1)
 
 
-@needs_numpy
 @pytest.mark.parametrize("config_kwargs", [
     dict(enable_etags=False),
     dict(enable_itags=False),
@@ -126,117 +105,101 @@ def test_feature_ablations_across_tiers(config_kwargs):
         all_tier_stats(plan, 700, nstops=12, **config_kwargs))
 
 
-@needs_numpy
-def test_selector_thrash_is_exact(monkeypatch):
-    """A pathological check cadence (every cycle) forces the auto
-    selector to materialize/dematerialize constantly; the round-trips
-    must stay invisible."""
-    monkeypatch.setattr(ring_module, "ENGINE_CHECK_EVERY", 1)
-    plan = crossover_plan(list(range(12)), seed=41)
-    ref = run_plan(make_ring("ref", 12), plan, 1000)
-    thrash = run_plan(make_ring("auto", 12), plan, 1000)
-    assert thrash == ref
+# -- the busy-lane walk against the reference -----------------------------
 
 
-def test_ineligible_ring_is_refused_once(monkeypatch):
-    """A ring that cannot run dense because of its structure asks
-    ``dense_ineligible_reason`` once, not at every check, even while
-    traffic keeps it above the promotion threshold."""
+@pytest.mark.parametrize("bidirectional", [True, False],
+                         ids=["full-ring", "half-ring"])
+def test_saturated_rings_take_the_busy_walk(monkeypatch, bidirectional):
+    """The shipped rule walks every station on oversubscribed rings,
+    the regime it exists for."""
     calls = []
-    reason = dense_module.dense_ineligible_reason
+    rule = ring_module.lanes_busy
 
-    def counting_reason(ring):
-        calls.append(ring.spec.ring_id)
-        return reason(ring)
+    def recording(active, nstations, bidi):
+        calls.append(rule(active, nstations, bidi))
+        return calls[-1]
 
-    monkeypatch.setattr(dense_module, "dense_ineligible_reason",
-                        counting_reason)
-    fabric = make_ring("auto", 12, lanes_per_direction=2)
-    ring = fabric.rings[0]
-    slots = ring.spec.nstops * len(ring.lanes)
-    nodes = list(range(12))
-    plan = uniform_plan(nodes, 1500, 12, seed=81)
-    i, n = 0, len(plan)
-    hot_cycles = 0
-    for cycle in range(1500):
-        while i < n and plan[i][0] == cycle:
-            _, src, dst = plan[i]
-            fabric.try_inject(Message(src=src, dst=dst,
-                                      created_cycle=cycle, msg_id=i))
-            i += 1
-        fabric.step(cycle)
-        if ring.occupancy() / slots >= ring_module.DENSE_ENTER_OCCUPANCY:
-            hot_cycles += 1
-    assert hot_cycles >= 1000
-    assert len(calls) <= 1
-    assert ring.active_tier() == "skip"
+    monkeypatch.setattr(ring_module, "lanes_busy", recording)
+    plan = uniform_plan(list(range(16)), 400, 16, seed=51)
+    run_plan(make_ring("skip", bidirectional=bidirectional), plan, 400)
+    assert sum(calls) >= 200
 
 
-@needs_numpy
-def test_snapshot_read_during_dense_is_exact():
-    """flits_in_flight() while the dense engine is live dematerializes
-    on read without disturbing the simulation."""
-    plan = uniform_plan(list(range(16)), 600, 8, seed=61)
-    ref = run_plan(make_ring("ref"), plan, 600)
-
-    fabric = make_ring("dense")
-    i, n = 0, len(plan)
-    probed = 0
-    for cycle in range(600):
-        while i < n and plan[i][0] == cycle:
-            _, src, dst = plan[i]
-            fabric.try_inject(Message(src=src, dst=dst,
-                                      created_cycle=cycle, msg_id=i))
-            i += 1
-        fabric.step(cycle)
-        if cycle % 97 == 0:
-            probed += len(fabric.flits_in_flight())
-    assert fabric.stats == ref
-    assert probed > 0
+def _swap_pair(engine):
+    queues = QueueParams(inject_queue_depth=2, eject_queue_depth=2,
+                         bridge_rx_depth=2, bridge_tx_depth=2,
+                         bridge_reserved_tx=2, swap_detect_threshold=32)
+    topo, _, _ = chiplet_pair(nodes_per_ring=4, stop_spacing=1)
+    return MultiRingFabric(topo, MultiRingConfig(
+        queues=queues, eject_drain_per_cycle=1, engine=engine))
 
 
-# -- hypothesis property: auto == ref for arbitrary seeds -----------------
+def _swap_pair_plan(cycles, seed):
+    _, ring0, ring1 = chiplet_pair(nodes_per_ring=4, stop_spacing=1)
+    rng = make_rng(seed)
+    return [(cycle, src, rng.choice(dsts)) for cycle in range(cycles)
+            for srcs, dsts in ((ring0, ring1), (ring1, ring0))
+            for src in srcs]
 
 
-@needs_numpy
+#: scenario -> (fabric factory, plan) for 600 cycles.
+FORCED_SCENARIOS = {
+    "two-lane": (lambda engine: make_ring(engine, 12, lanes_per_direction=2),
+                 uniform_plan(list(range(12)), 600, 8, seed=91)),
+    "swap-pair": (_swap_pair, _swap_pair_plan(600, seed=92)),
+    "escape-slots": (lambda engine: make_ring(engine, 12,
+                                              escape_slot_period=4),
+                     uniform_plan(list(range(12)), 600, 6, seed=93)),
+    "itag-thr-1": (lambda engine: make_ring(engine, 12, bidirectional=False,
+                                            queues=_tight_itag_queues()),
+                   uniform_plan(list(range(12)), 600, 6, seed=94)),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+@pytest.mark.parametrize("scenario", sorted(FORCED_SCENARIOS))
+def test_forced_walk_matches_reference(monkeypatch, scenario, walk):
+    """Walking every station, or only the visit list, on every cycle
+    is exact on multi-lane rings, under SWAP, with escape slots and with
+    an I-tag placed on every failure."""
+    build, plan = FORCED_SCENARIOS[scenario]
+    ref = run_plan(build("ref"), plan, 600, MessageKind.DATA)
+    monkeypatch.setattr(ring_module, "lanes_busy", WALKS[walk])
+    assert run_plan(build("skip"), plan, 600, MessageKind.DATA) == ref
+    assert ref.delivered > 0
+    if scenario == "swap-pair":
+        assert ref.swap_events > 0, "scenario failed to exercise SWAP"
+    if scenario == "itag-thr-1":
+        assert ref.itags_placed > 0, "scenario placed no I-tags"
+
+
+# -- hypothesis property: skip == ref for arbitrary seeds -----------------
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
        per_cycle=st.integers(min_value=1, max_value=10))
-def test_auto_matches_reference_property(seed, per_cycle):
+def test_skip_matches_reference_property(seed, per_cycle):
     plan = uniform_plan(list(range(12)), 400, per_cycle, seed)
     ref = run_plan(make_ring("ref", 12), plan, 400)
-    auto = run_plan(make_ring("auto", 12), plan, 400)
-    assert auto == ref
+    skip = run_plan(make_ring("skip", 12), plan, 400)
+    assert skip == ref
 
 
-# -- tracing pins scalar, byte-identical streams --------------------------
+# -- traced streams are byte-identical ------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("engine", ENGINES)
 def test_traced_stream_is_byte_identical(engine):
-    """Tracing pins the rings scalar on every tier, so the JSONL stream
-    any engine mode produces equals the reference stream byte for byte."""
+    """The JSONL stream either engine mode produces equals the
+    reference stream byte for byte."""
     plan = uniform_plan(list(range(12)), 400, 6, seed=71)
 
     def traced_run(mode):
         fabric = make_ring(mode, 12)
         recorder = fabric.attach_trace_recorder()
         run_plan(fabric, plan, 400)
-        for ring in fabric.rings.values():
-            assert ring.active_tier() != "dense", (
-                f"engine={mode}: traced ring must stay scalar")
         return events_to_jsonl(recorder.sorted_events())
 
     assert traced_run(engine) == traced_run("ref")
-
-
-@needs_numpy
-def test_dense_eligibility_reporting():
-    topo, _ = single_ring_topology(16, bidirectional=True)
-    ring = MultiRingFabric(topo, MultiRingConfig()).rings[0]
-    assert dense_ineligible_reason(ring) is None
-
-    escape = MultiRingFabric(
-        topo, MultiRingConfig(escape_slot_period=4)).rings[0]
-    assert dense_ineligible_reason(escape) is not None

@@ -57,7 +57,7 @@ def ring_factory(nstops, bidirectional, **config_kwargs):
     def make(fast):
         topo, _ = single_ring_topology(nstops, bidirectional=bidirectional)
         return MultiRingFabric(topo, MultiRingConfig(
-            engine="auto" if fast else "ref", **config_kwargs))
+            engine="skip" if fast else "ref", **config_kwargs))
     return make
 
 
@@ -112,7 +112,7 @@ def test_chiplet_pair_swap_equivalence():
         t, _, _ = chiplet_pair(nodes_per_ring=4, stop_spacing=1)
         return MultiRingFabric(t, MultiRingConfig(
             queues=queues, eject_drain_per_cycle=1,
-            engine="auto" if fast else "ref"))
+            engine="skip" if fast else "ref"))
 
     stats = assert_equivalent(make, plan, 800, kind=MessageKind.DATA)
     assert stats.swap_events > 0, "scenario failed to exercise SWAP/DRM"
@@ -139,7 +139,7 @@ def test_fault_injection_equivalence():
         t, _, _ = chiplet_pair(nodes_per_ring=4)
         fabric = MultiRingFabric(t, MultiRingConfig(
             reliability=LinkReliabilityConfig(),
-            engine="auto" if fast else "ref"))
+            engine="skip" if fast else "ref"))
         fabric.attach_fault_injector(
             FaultInjector(seed=5)
             .add(BitErrorModel(5e-2))

@@ -78,20 +78,6 @@ def test_non_numpy_random_attribute_not_flagged():
     ) == set()
 
 
-def test_dense_engine_file_is_order_sensitive():
-    source = """
-        def release(tags):
-            for idx in {1, 2, 3}:
-                tags.pop(idx)
-    """
-    assert "unordered-iteration" in {
-        f.rule for f in lint_source(
-            textwrap.dedent(source), "pkg/repro/perf/dense.py")}
-    # ...while the rest of the perf harness may iterate sets freely.
-    assert {f.rule for f in lint_source(
-        textwrap.dedent(source), "pkg/repro/perf/bench.py")} == set()
-
-
 def test_wall_clock_calls_flagged():
     assert "determinism" in rules_hit(
         """

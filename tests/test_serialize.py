@@ -90,7 +90,7 @@ def test_config_roundtrip_preserves_every_knob():
     from repro.params import QueueParams
 
     config = MultiRingConfig(
-        engine="dense",
+        engine="ref",
         bridge_route_penalty=3,
         escape_slot_period=7,
         queues=QueueParams(inject_queue_depth=5),
@@ -99,6 +99,26 @@ def test_config_roundtrip_preserves_every_knob():
     assert rebuilt == config
     assert rebuilt.bridge_route_penalty == 3
     assert rebuilt.queues.inject_queue_depth == 5
+
+
+def test_saved_config_with_removed_engine_mode_is_rejected():
+    """A save naming a deleted stepping tier keeps its value, so the
+    validator and fabric construction reject it instead of running it
+    on a surviving tier."""
+    import pytest
+
+    from repro.core.config import MultiRingConfig
+    from repro.core.network import MultiRingFabric
+    from repro.core.serialize import config_from_dict, config_to_dict
+    from repro.core.topology import chiplet_pair
+    from repro.lint import validate_config
+
+    for mode in ("auto", "dense"):
+        config = config_from_dict(
+            dict(config_to_dict(MultiRingConfig()), engine=mode))
+        assert "bad-engine" in {f.rule for f in validate_config(config)}
+        with pytest.raises(ValueError, match="unknown engine"):
+            MultiRingFabric(chiplet_pair()[0], config)
 
 
 def test_config_dict_rejects_unknown_keys_and_reliability():
